@@ -1,6 +1,7 @@
 """Energy self-sufficiency: harvested vs consumed power across surface sizes,
-the battery state-of-charge chain, loss-of-charge vs capacity, sizing, and a
-state-of-charge trace with the idle-mode fallback.
+the per-drop power balance in run and idle mode, the battery state-of-charge
+chain, loss-of-charge vs capacity, sizing, and a state-of-charge trace with
+the idle-mode fallback.
 
 Run:  python demos/04_energy_and_battery.py
 """
@@ -10,6 +11,7 @@ import numpy as np
 from hris_sim import Scenario, run_energy_experiment
 from hris_sim.battery import (NetEnergyDist, mah_to_joules, simulate_trace,
                               size_battery)
+from hris_sim.energy import frame_power, idle_harvest_fraction
 from hris_sim.runner import battery_drop_stats, step_dist
 
 sc = Scenario(k_users=8, n_drops=40, battery_trace_periods=200000,
@@ -31,12 +33,23 @@ for p_on in sorted({r["p_on_mw"] for r in report.battery_ploc}):
                       f"{r['ploc_empirical']:.3f}" for r in rows[:4])
     print(f"  p_on={p_on} mW: {cells}")
 
-# battery sizing from the measured net-power statistics
+# battery sizing from the measured net-power statistics: the same per-drop
+# power balance the energy and battery experiments use
 stats = battery_drop_stats(sc)
-net = stats.net_power(sc.traffic, sc.p_on_watts, sc.controller_run_w)
+power = frame_power(stats.harvest_base_w, stats.diode_count, sc.traffic,
+                    sc.p_on_watts, sc.controller_run_w)
+idle = frame_power(stats.harvest_base_w, 0,
+                   idle_harvest_fraction(sc.nx, sc.nz) * sc.traffic,
+                   sc.p_on_watts, sc.controller_idle_w)
+net = power.net
 delta_j = mah_to_joules(sc.delta_mah, sc.battery_voltage)
 dist = step_dist(net.mean(), net.std(ddof=1), sc.mc_step_s, delta_j)
-print(f"\nnet power over drops: {net.mean() * 1e3:+.2f} mW "
+print(f"\nper-drop power balance at traffic {sc.traffic}: harvested "
+      f"{power.harvested.mean() * 1e3:.2f} mW, consumed "
+      f"{power.consumed.mean() * 1e3:.2f} mW (diodes "
+      f"{power.diodes.mean() * 1e3:.2f} mW); idle mode "
+      f"{idle.net.mean() * 1e3:+.2f} mW net")
+print(f"net power over drops: {net.mean() * 1e3:+.2f} mW "
       f"(std {net.std(ddof=1) * 1e3:.2f} mW); per chain step "
       f"{dist.mean:+.0f} J (std {dist.std:.0f} J)")
 sizing = size_battery(dist, [delta_j / 2, delta_j], target_ploc=1e-3, gamma=sc.guard_fraction)

@@ -7,9 +7,9 @@ from .battery import (BatteryChain, NetEnergyDist, build_chain, loss_of_charge,
 from .channel import (BlockageField, ChannelSet, PathlossModel, los_probability,
                       pathloss, realize_channels, simulate_blockage)
 from .comm import LinkBudget, Precoder, effective_channels, evaluate, rzf_precoder
-from .energy import (ConsumptionModel, FramePlan, HarvesterModel,
-                     atom_consumption, config_consumption, frame_energy,
-                     harvest, idle_harvest_fraction)
+from .energy import (ConsumptionModel, FramePower, HarvesterModel,
+                     atom_consumption, config_consumption, diode_count,
+                     frame_power, harvest, idle_harvest_fraction, slot_harvest)
 from .geometry import ArrayGeometry, Radio, array_response, planar, ula, wave_vector
 from .hris import (Codebook, HrisConfig, PowerProfile, build_codebook,
                    compose_reflection, idle_config, incident_from_bs,

@@ -189,6 +189,23 @@ def loss_of_charge(chain: BatteryChain) -> float:
     return float(pi[: chain.guard_state + 1].sum())
 
 
+def resolve_loss_of_charge(chain: BatteryChain,
+                           dist: NetEnergyDist) -> tuple[float, str]:
+    """p_LoC of a chain and its status.
+
+    "ok" when the stationary solve succeeds. A saturated drift makes the
+    off-drift transition probabilities underflow, and the solve rejects the
+    chain as reducible; the drift sign then decides: "saturated-charge"
+    (p_LoC 0) or "saturated-discharge" (p_LoC 1).
+    """
+    try:
+        return loss_of_charge(chain), "ok"
+    except ReducibleChainError:
+        if dist.mean > 0 and chain.guard_state < chain.n_states - 1:
+            return 0.0, "saturated-charge"
+        return 1.0, "saturated-discharge"
+
+
 def ploc_standard_error(chain: BatteryChain, n_periods: int) -> float:
     """Standard error of the guard-mass time average over ``n_periods``.
 
@@ -216,10 +233,9 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
                  gamma: float, s_max: int = 200) -> BatterySizing | None:
     """Smallest capacity (S-1)*delta on the grid meeting the target p_LoC.
 
-    Scans S = 2..s_max for every delta. Saturated-drift chains that the
-    stationary solve rejects as reducible are resolved by their drift sign
-    (strong charging -> p_LoC 0, strong discharging -> 1). Returns None when
-    no grid point qualifies.
+    Scans S = 2..s_max for every delta. Saturated-drift chains are resolved
+    by :func:`resolve_loss_of_charge`. Returns None when no grid point
+    qualifies.
     """
     delta_grid = list(delta_grid)
     if not delta_grid:
@@ -229,11 +245,8 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
     best = None
     for delta in delta_grid:
         for s in range(2, s_max + 1):
-            chain = build_chain(dist, s, delta, gamma)
-            try:
-                ploc = loss_of_charge(chain)
-            except ReducibleChainError:
-                ploc = 0.0 if dist.mean > 0 and chain.guard_state < s - 1 else 1.0
+            ploc, _ = resolve_loss_of_charge(build_chain(dist, s, delta, gamma),
+                                             dist)
             if ploc <= target_ploc:
                 candidate = BatterySizing(s, float(delta), float((s - 1) * delta))
                 if best is None or (candidate.capacity, candidate.delta) \

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .runner import (emit_csv, run_battery_experiment, run_energy_experiment,
-                     run_sumrate_experiment, validate_schemes)
+                     run_sumrate_experiment, validate_run)
 from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario)
 
 _EXPERIMENTS = {
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
             overrides["n_drops"] = args.drops
         if overrides:
             scenario = replace(scenario, **overrides)
-        validate_schemes(scenario.schemes)
+        validate_run(scenario, args.experiment, args.workers)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

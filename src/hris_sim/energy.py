@@ -1,6 +1,7 @@
-"""RF-to-DC harvesting, PIN-diode consumption, and per-frame energy accounting."""
+"""RF-to-DC harvesting, PIN-diode consumption, and per-frame power accounting."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,33 +47,6 @@ class ConsumptionModel:
             raise ValueError("q_bits must be >= 1")
 
 
-@dataclass
-class FramePlan:
-    """Slot layout of one reconfiguration period."""
-
-    n_dl: int
-    n_ul: int
-    n_ce: int = 1
-    period: float = 0.01  # seconds
-    traffic: float = 0.5  # duty factor in [0, 1]
-
-    def __post_init__(self):
-        if self.n_ce < 1:
-            raise ValueError("need at least one probing/CE slot")
-        if not 0.0 <= self.traffic <= 1.0:
-            raise ValueError("traffic must lie in [0, 1]")
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-
-    @property
-    def n_slots(self) -> int:
-        return self.n_ce + self.n_dl + self.n_ul
-
-    @property
-    def slot_duration(self) -> float:
-        return self.period / self.n_slots
-
-
 def harvest(model: HarvesterModel, p_in: float) -> float:
     """Harvested power for input RF power ``p_in`` (Watts)."""
     if p_in < 0:
@@ -93,13 +67,19 @@ def atom_consumption(m: int, model: ConsumptionModel) -> float:
     return model.p_on * active
 
 
+def diode_count(config: HrisConfig) -> int:
+    """Active PIN diodes of a quantized configuration: the popcount of its
+    phase indices."""
+    return int(np.bitwise_count(phase_indices(config)).sum())
+
+
 def config_consumption(config: HrisConfig, model: ConsumptionModel) -> float:
     """Total diode power of a quantized configuration (controller excluded)."""
     if config.quantized is None:
         raise ValueError("consumption accounting needs a quantized configuration")
     if config.quantized != model.q_bits:
         raise ValueError("configuration bit depth does not match the model")
-    return float(sum(atom_consumption(int(m), model) for m in phase_indices(config)))
+    return model.p_on * diode_count(config)
 
 
 def idle_harvest_fraction(nx: int, nz: int, spacing_ratio: float = 0.5) -> float:
@@ -113,30 +93,33 @@ def idle_harvest_fraction(nx: int, nz: int, spacing_ratio: float = 0.5) -> float
     return bx * bz / np.pi ** 2
 
 
-def frame_energy(plan: FramePlan, harvester: HarvesterModel,
-                 consumption: ConsumptionModel, p_abs_bs: float,
-                 p_abs_ue: float, reflection_cfg: HrisConfig | None,
-                 absorption_cfg: HrisConfig | None, idle: bool = False,
-                 nu: float = 1.0):
-    """Energy harvested and consumed over one reconfiguration period.
+def slot_harvest(model: HarvesterModel, n_dl: int, n_ul: int,
+                 p_abs_bs: float, p_abs_ue: float) -> float:
+    """Slot-weighted harvest n_dl*f(p_abs_bs) + n_ul*f(p_abs_ue) of one frame
+    at full traffic (W)."""
+    return n_dl * harvest(model, p_abs_bs) + n_ul * harvest(model, p_abs_ue)
 
-    Harvest side: E_H = period * traffic * (n_dl * f(p_abs_bs)
-    + n_ul * f(p_abs_ue)), scaled by ``nu`` in idle mode. Consumption side:
-    controller draw plus the diode draw of both phase-shifter banks; in idle
-    mode the shifters are off and only the idle controller power remains.
+
+class FramePower(NamedTuple):
+    """Harvested and consumed power at one operating point (W; scalars, or
+    arrays over drops)."""
+
+    harvested: float
+    diodes: float  # drawn by the active PIN diodes
+    consumed: float  # controller plus diodes
+
+    @property
+    def net(self):
+        return self.harvested - self.consumed
+
+
+def frame_power(slot_harvest_w, n_diodes, traffic: float, p_on_w: float,
+                controller_w: float) -> FramePower:
+    """Power balance of a held configuration: the slot-weighted harvest
+    scaled by the traffic factor, against the controller and diode draw.
+
+    Works element-wise on per-drop arrays. Idle mode is the point with
+    traffic nu*zeta, no active diodes and the idle controller draw.
     """
-    if not 0.0 < nu <= 1.0:
-        raise ValueError("nu must lie in (0, 1]")
-    harvested = plan.traffic * (plan.n_dl * harvest(harvester, p_abs_bs)
-                                + plan.n_ul * harvest(harvester, p_abs_ue))
-    if idle:
-        e_h = plan.period * nu * harvested
-        e_c = plan.period * consumption.controller_idle
-        return e_h, e_c
-    diode_power = 0.0
-    for cfg in (reflection_cfg, absorption_cfg):
-        if cfg is not None:
-            diode_power += config_consumption(cfg, consumption)
-    e_h = plan.period * harvested
-    e_c = plan.period * (consumption.controller_run + diode_power)
-    return e_h, e_c
+    diodes = p_on_w * n_diodes
+    return FramePower(traffic * slot_harvest_w, diodes, controller_w + diodes)

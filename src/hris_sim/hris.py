@@ -134,23 +134,20 @@ def _grid_shape(l_codewords: int) -> tuple:
 
 
 def build_codebook(geom: ArrayGeometry, radio: Radio, l_codewords: int,
-                   q_bits: int, n_az: int | None = None,
-                   n_el: int | None = None) -> Codebook:
+                   q_bits: int) -> Codebook:
     """Quantized steering codebook over a uniform front-half-space grid.
 
-    Azimuths are the ``n_az`` bin midpoints of (-pi/2, pi/2) and elevations
-    the ``n_el`` midpoints of (-pi/4, pi/4). The grid defaults to the array's
-    own nx-by-nz shape when that matches ``l_codewords``.
+    The n_az-by-n_el grid is the array's own nx-by-nz shape when that
+    matches ``l_codewords``, else the widest az-major factorization of
+    ``l_codewords``. Azimuths are the n_az bin midpoints of (-pi/2, pi/2) and
+    elevations the n_el midpoints of (-pi/4, pi/4).
     """
     if l_codewords < 1:
         raise ValueError("need at least one codeword")
-    if n_az is None or n_el is None:
-        if geom.nx * geom.nz == l_codewords:
-            n_az, n_el = geom.nx, geom.nz
-        else:
-            n_az, n_el = _grid_shape(l_codewords)
-    if n_az * n_el != l_codewords:
-        raise ValueError("codebook grid does not factor l_codewords")
+    if geom.nx * geom.nz == l_codewords:
+        n_az, n_el = geom.nx, geom.nz
+    else:
+        n_az, n_el = _grid_shape(l_codewords)
     azimuths = -np.pi / 2 + (np.arange(n_az) + 0.5) * np.pi / n_az
     elevations = -np.pi / 4 + (np.arange(n_el) + 0.5) * (np.pi / 2) / n_el
     codewords, directions = [], []

@@ -18,10 +18,10 @@ import numpy as np
 from . import battery as bat
 from .channel import realize_channels
 from .comm import effective_channels, evaluate, rzf_precoder
-from .energy import (ConsumptionModel, FramePlan, HarvesterModel,
-                     config_consumption, harvest, idle_harvest_fraction)
+from .energy import (HarvesterModel, diode_count, frame_power,
+                     idle_harvest_fraction, slot_harvest)
 from .geometry import Radio, planar
-from .hris import (build_codebook, compose_reflection, idle_config,
+from .hris import (Codebook, build_codebook, compose_reflection, idle_config,
                    incident_from_bs, incident_from_ues, oracle_config, probe,
                    quantize, sensed_power)
 from .scenario import Scenario, ScenarioError
@@ -46,6 +46,18 @@ def validate_schemes(schemes) -> None:
             raise ScenarioError(
                 f"invalid scheme name {scheme!r}; expected one of "
                 f"{', '.join(_FIXED_SCHEMES)} or probe-q<bits>")
+
+
+def validate_run(scenario: Scenario, experiment: str, workers: int) -> None:
+    """Checks across the scenario and the run options, made before any drop
+    runs; raises ScenarioError naming the field."""
+    validate_schemes(scenario.schemes)
+    if workers < 1:
+        raise ScenarioError(f"--workers must be >= 1, got {workers}")
+    if experiment in ("energy", "battery") and scenario.n_drops < 2:
+        raise ScenarioError(
+            f"the {experiment} experiment needs n_drops >= 2 for the "
+            f"drop-to-drop spread of the net power, got {scenario.n_drops}")
 
 
 @dataclass
@@ -102,25 +114,26 @@ def _reflection_for_scheme(scenario: Scenario, channels, scheme: str, codebooks)
     return compose_reflection(phi_b, phi_u, q)
 
 
+def _codebook(scenario: Scenario, q_bits: int) -> Codebook:
+    """Probing codebook of the scenario's surface at one bit depth."""
+    radio = Radio(scenario.fc_hz)
+    geom = planar(scenario.hris_position, scenario.nx, scenario.nz,
+                  radio.wavelength / 2.0)
+    return build_codebook(geom, radio, scenario.codebook_size, q_bits)
+
+
 def _probe_codebooks(scenario: Scenario):
     """One codebook per quantization level appearing in the scheme list."""
     depths = sorted({q for q in map(probe_scheme_bits, scenario.schemes)
                      if q is not None})
-    if not depths:
-        return {}
-    radio = Radio(scenario.fc_hz)
-    geom = planar(scenario.hris_position, scenario.nx, scenario.nz,
-                  radio.wavelength / 2.0)
-    return {q: build_codebook(geom, radio, scenario.codebook_size, q)
-            for q in depths}
+    return {q: _codebook(scenario, q) for q in depths}
 
 
 def _sumrate_drop(args):
-    scenario, k_users, drop = args
+    scenario, codebooks, k_users, drop = args
     sc = replace(scenario, k_users=k_users)
     rng = _rng(sc, _EXP_SUMRATE, k_users, drop)
     channels = realize_channels(sc, rng)
-    codebooks = _probe_codebooks(sc)
     rows, fracs = [], []
     for scheme in sc.schemes:
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
@@ -143,25 +156,23 @@ def _map_tasks(fn, tasks, workers: int):
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _summaries(rows, group_keys, value_key):
+def _summaries(rows, group_keys, value_keys):
+    """Group ``rows`` by ``group_keys`` in one pass; yields, in key order, the
+    group keys with the drop count and one array per value column."""
     groups = {}
     for row in rows:
-        groups.setdefault(tuple(row[k] for k in group_keys), []).append(row[value_key])
-    out = []
-    for key, values in groups.items():
-        arr = np.asarray(values)
-        out.append(dict(zip(group_keys, key))
-                   | {"n_drops": arr.size,
-                      "mean": float(arr.mean()),
-                      "ci95_halfwidth": float(1.96 * arr.std(ddof=1) / np.sqrt(arr.size))
-                      if arr.size > 1 else 0.0})
-    return out
+        groups.setdefault(tuple(row[k] for k in group_keys), []).append(row)
+    for key in sorted(groups):
+        members = groups[key]
+        yield (dict(zip(group_keys, key)) | {"n_drops": len(members)},
+               [np.array([row[v] for row in members]) for v in value_keys])
 
 
 def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     """Average sum-rate per scheme over the K sweep, with per-drop provenance."""
-    validate_schemes(scenario.schemes)
-    tasks = [(scenario, k, d) for k in scenario.k_sweep
+    validate_run(scenario, "sumrate", workers)
+    codebooks = _probe_codebooks(scenario)
+    tasks = [(scenario, codebooks, k, d) for k in scenario.k_sweep
              for d in range(scenario.n_drops)]
     log.info("sum-rate experiment: %d drops x %d K values",
              scenario.n_drops, len(scenario.k_sweep))
@@ -171,109 +182,43 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     for _, _, rows, fracs in results:
         report.sumrate_drops.extend(rows)
         report.direct_fraction.extend(fracs)
-    for summ in _summaries(report.sumrate_drops, ("scheme", "k_users"),
-                           "sum_rate_bps_hz"):
-        report.sumrate_summary.append({
-            "scheme": summ["scheme"], "k_users": summ["k_users"],
-            "seed": scenario.seed, "n_drops": summ["n_drops"],
-            "mean_sum_rate_bps_hz": summ["mean"],
-            "ci95_halfwidth": summ["ci95_halfwidth"]})
-    report.sumrate_summary.sort(key=lambda r: (r["scheme"], r["k_users"]))
+    for group, (rates,) in _summaries(report.sumrate_drops,
+                                      ("scheme", "k_users", "seed"),
+                                      ("sum_rate_bps_hz",)):
+        report.sumrate_summary.append(group | {
+            "mean_sum_rate_bps_hz": float(rates.mean()),
+            "ci95_halfwidth": float(1.96 * rates.std(ddof=1) / np.sqrt(rates.size))
+            if rates.size > 1 else 0.0})
     return report
 
 
 # --- energy and battery ---------------------------------------------------
 
-def _energy_models(scenario: Scenario, q_bits: int, p_on_w: float | None = None):
-    harvester = HarvesterModel(scenario.harvester_a_w, scenario.harvester_b_w,
-                               scenario.harvester_c_w)
-    consumption = ConsumptionModel(
-        p_on=scenario.p_on_watts if p_on_w is None else p_on_w,
-        q_bits=q_bits, controller_run=scenario.controller_run_w,
-        controller_idle=scenario.controller_idle_w)
-    plan = FramePlan(n_dl=scenario.n_dl_slots, n_ul=scenario.n_ul_slots,
-                     n_ce=scenario.n_ce_slots, period=scenario.period_s,
-                     traffic=scenario.traffic)
-    return harvester, consumption, plan
-
-
 def _energy_drop(args):
-    """One probing+harvesting snapshot at a given array size and bit depth.
+    """One probing+harvesting snapshot of the scenario's surface.
 
-    Returns slot-weighted harvest (W, before the traffic factor) and the
+    Returns the slot-weighted harvest (W, before the traffic factor) and the
     total active-diode count of the held reflection + absorption configs,
     so traffic and per-diode power variations rescale without re-simulation.
     """
-    scenario, n_elements, q_bits, drop = args
-    sc = replace(scenario, nz=n_elements // scenario.nx,
-                 codebook_size=n_elements, q_bits=q_bits)
-    rng = _rng(sc, _EXP_ENERGY, n_elements, q_bits, drop)
+    sc, codebook, drop = args
+    rng = _rng(sc, _EXP_ENERGY, sc.n_hris_elements, sc.q_bits, drop)
     channels = realize_channels(sc, rng)
-    radio = Radio(sc.fc_hz)
-    geom = planar(sc.hris_position, sc.nx, sc.nz, radio.wavelength / 2.0)
-    codebook = build_codebook(geom, radio, sc.codebook_size, q_bits,
-                              n_az=sc.nx, n_el=sc.nz)
     v_b = incident_from_bs(channels, sc.p_watts)
     v_u = incident_from_ues(channels, sc.p_watts)
     _, phi_b = probe(codebook, v_b, sc.eta, sc.noise_watts,
                      sc.probe_threshold_w, sc.combining)
     _, phi_u = probe(codebook, v_u, sc.eta, sc.noise_watts,
                      sc.probe_threshold_w, sc.combining)
-    theta = compose_reflection(phi_b, phi_u, q_bits)
-    phi_b_q = quantize(phi_b, q_bits)
-    phi_u_q = quantize(phi_u, q_bits)
-    harvester, _, _ = _energy_models(sc, q_bits)
+    theta = compose_reflection(phi_b, phi_u, sc.q_bits)
+    phi_b_q = quantize(phi_b, sc.q_bits)
+    phi_u_q = quantize(phi_u, sc.q_bits)
+    harvester = HarvesterModel(sc.harvester_a_w, sc.harvester_b_w,
+                               sc.harvester_c_w)
     p_b = sensed_power(phi_b_q, v_b, sc.eta, sc.noise_watts)
     p_u = sensed_power(phi_u_q, v_u, sc.eta, sc.noise_watts)
-    harvest_base = sc.n_dl_slots * harvest(harvester, p_b) \
-        + sc.n_ul_slots * harvest(harvester, p_u)
-    unit = ConsumptionModel(p_on=1.0, q_bits=q_bits,
-                            controller_run=0.0, controller_idle=0.0)
-    diode_count = config_consumption(theta, unit) + config_consumption(phi_b_q, unit)
-    return {"n_elements": n_elements, "q_bits": q_bits, "drop": drop,
-            "harvest_base_w": harvest_base, "diode_count": diode_count}
-
-
-def _drop_power_rows(scenario: Scenario, n_elements: int, q_bits: int,
-                     workers: int = 1):
-    tasks = [(scenario, n_elements, q_bits, d) for d in range(scenario.n_drops)]
-    return sorted(_map_tasks(_energy_drop, tasks, workers), key=lambda r: r["drop"])
-
-
-def run_energy_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
-    """Harvested/consumed power over the N and Q sweeps, plus the battery
-    analysis of :func:`run_battery_experiment`."""
-    report = RunReport()
-    for n_elements in scenario.n_sweep:
-        for q_bits in scenario.q_sweep:
-            scheme = f"probe-q{q_bits}"
-            rows = _drop_power_rows(scenario, n_elements, q_bits, workers)
-            _, consumption, _ = _energy_models(replace(scenario, q_bits=q_bits),
-                                               q_bits)
-            for row in rows:
-                harvested = scenario.traffic * row["harvest_base_w"]
-                diodes = consumption.p_on * row["diode_count"]
-                consumed = consumption.controller_run + diodes
-                report.energy_drops.append({
-                    "scheme": scheme, "n_elements": n_elements,
-                    "q_bits": q_bits, "seed": scenario.seed,
-                    "drop": row["drop"], "harvested_w": harvested,
-                    "consumed_w": consumed, "consumed_diodes_w": diodes})
-    for summ_h, summ_c in zip(
-            _summaries(report.energy_drops,
-                       ("scheme", "n_elements", "q_bits"), "harvested_w"),
-            _summaries(report.energy_drops,
-                       ("scheme", "n_elements", "q_bits"), "consumed_w")):
-        report.energy_summary.append({
-            "scheme": summ_h["scheme"], "n_elements": summ_h["n_elements"],
-            "q_bits": summ_h["q_bits"], "seed": scenario.seed,
-            "n_drops": summ_h["n_drops"], "mean_harvested_w": summ_h["mean"],
-            "mean_consumed_w": summ_c["mean"]})
-    report.energy_summary.sort(key=lambda r: (r["scheme"], r["n_elements"]))
-    battery_report = run_battery_experiment(scenario, workers=workers)
-    report.battery_ploc = battery_report.battery_ploc
-    report.battery_soc = battery_report.battery_soc
-    return report
+    return (slot_harvest(harvester, sc.n_dl_slots, sc.n_ul_slots, p_b, p_u),
+            diode_count(theta) + diode_count(phi_b_q))
 
 
 @dataclass
@@ -284,16 +229,52 @@ class BatteryStats:
     diode_count: np.ndarray
 
     def net_power(self, traffic: float, p_on_w: float, controller_w: float):
-        return traffic * self.harvest_base_w \
-            - (controller_w + p_on_w * self.diode_count)
+        return frame_power(self.harvest_base_w, self.diode_count, traffic,
+                           p_on_w, controller_w).net
 
 
 def battery_drop_stats(scenario: Scenario, workers: int = 1) -> BatteryStats:
-    rows = _drop_power_rows(scenario, scenario.n_hris_elements,
-                            scenario.q_bits, workers)
-    return BatteryStats(
-        harvest_base_w=np.array([r["harvest_base_w"] for r in rows]),
-        diode_count=np.array([r["diode_count"] for r in rows]))
+    """Per-drop statistics of the scenario's surface (nx*nz elements at
+    q_bits), probed with a codebook of one codeword per element."""
+    sc = replace(scenario, codebook_size=scenario.n_hris_elements)
+    codebook = _codebook(sc, sc.q_bits)
+    tasks = [(sc, codebook, d) for d in range(sc.n_drops)]
+    harvest_base, diodes = zip(*_map_tasks(_energy_drop, tasks, workers))
+    return BatteryStats(harvest_base_w=np.array(harvest_base),
+                        diode_count=np.array(diodes))
+
+
+def run_energy_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
+    """Harvested/consumed power over the N and Q sweeps, plus the battery
+    analysis of :func:`run_battery_experiment`."""
+    validate_run(scenario, "energy", workers)
+    report = RunReport()
+    for n_elements in scenario.n_sweep:
+        for q_bits in scenario.q_sweep:
+            stats = battery_drop_stats(
+                replace(scenario, nz=n_elements // scenario.nx, q_bits=q_bits),
+                workers)
+            power = frame_power(stats.harvest_base_w, stats.diode_count,
+                                scenario.traffic, scenario.p_on_watts,
+                                scenario.controller_run_w)
+            for drop, (harvested, consumed, diodes) in enumerate(zip(
+                    power.harvested.tolist(), power.consumed.tolist(),
+                    power.diodes.tolist())):
+                report.energy_drops.append({
+                    "scheme": f"probe-q{q_bits}", "n_elements": n_elements,
+                    "q_bits": q_bits, "seed": scenario.seed, "drop": drop,
+                    "harvested_w": harvested, "consumed_w": consumed,
+                    "consumed_diodes_w": diodes})
+    for group, (harvested, consumed) in _summaries(
+            report.energy_drops, ("scheme", "n_elements", "q_bits", "seed"),
+            ("harvested_w", "consumed_w")):
+        report.energy_summary.append(group | {
+            "mean_harvested_w": float(harvested.mean()),
+            "mean_consumed_w": float(consumed.mean())})
+    battery_report = run_battery_experiment(scenario, workers=workers)
+    report.battery_ploc = battery_report.battery_ploc
+    report.battery_soc = battery_report.battery_soc
+    return report
 
 
 def step_dist(mean_power_w: float, std_power_w: float, step_s: float,
@@ -310,26 +291,20 @@ def step_dist(mean_power_w: float, std_power_w: float, step_s: float,
 
 
 def _theory_ploc(dist, n_states, delta_j, gamma, n_periods):
-    """Theoretical p_LoC with saturated-drift fallback for reducible chains."""
+    """Theoretical p_LoC, its standard error and the chain status."""
     chain = bat.build_chain(dist, n_states, delta_j, gamma)
-    try:
-        ploc = bat.loss_of_charge(chain)
-        stderr = bat.ploc_standard_error(chain, n_periods)
-        return ploc, stderr, "ok"
-    except bat.ReducibleChainError:
-        if dist.mean > 0 and chain.guard_state < n_states - 1:
-            return 0.0, 0.0, "saturated-charge"
-        return 1.0, 0.0, "saturated-discharge"
+    ploc, status = bat.resolve_loss_of_charge(chain, dist)
+    stderr = bat.ploc_standard_error(chain, n_periods) if status == "ok" else 0.0
+    return ploc, stderr, status
 
 
 def run_battery_experiment(scenario: Scenario, workers: int = 1,
                            stats: BatteryStats | None = None) -> RunReport:
     """Loss-of-charge probability over the capacity and per-diode-power grids
     (theoretical chain vs simulated trace) and example SoC trajectories."""
+    validate_run(scenario, "battery", workers)
     if stats is None:
         stats = battery_drop_stats(scenario, workers)
-    if stats.harvest_base_w.size < 2:
-        raise ScenarioError("battery analysis needs n_drops >= 2")
     report = RunReport()
     scheme = f"probe-q{scenario.q_bits}"
     delta_j = bat.mah_to_joules(scenario.delta_mah, scenario.battery_voltage)
@@ -364,14 +339,15 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
     # with the idle-mode fallback active below the guard threshold
     harvest_mean = stats.harvest_base_w.mean()
     harvest_std = stats.harvest_base_w.std(ddof=1)
-    diode_w = scenario.p_on_watts * stats.diode_count.mean()
+    diodes_mean = stats.diode_count.mean()
     cap_j = bat.mah_to_joules(scenario.capacity_mah, scenario.battery_voltage)
     for i_z, zeta in enumerate(scenario.zeta_sweep):
-        active = step_dist(zeta * harvest_mean
-                           - (scenario.controller_run_w + diode_w),
-                           zeta * harvest_std, step_s, delta_j)
-        idle = step_dist(nu * zeta * harvest_mean - scenario.controller_idle_w,
-                         nu * zeta * harvest_std, step_s, delta_j)
+        active_w = frame_power(harvest_mean, diodes_mean, zeta,
+                               scenario.p_on_watts, scenario.controller_run_w).net
+        idle_w = frame_power(harvest_mean, 0, nu * zeta, scenario.p_on_watts,
+                             scenario.controller_idle_w).net
+        active = step_dist(active_w, zeta * harvest_std, step_s, delta_j)
+        idle = step_dist(idle_w, nu * zeta * harvest_std, step_s, delta_j)
         rng = _rng(scenario, _EXP_BATTERY, 1000 + i_z)
         _, soc = bat.simulate_trace(active, cap_j, delta_j,
                                     scenario.guard_fraction,

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hris_sim.energy import (ConsumptionModel, FramePlan, HarvesterModel,
-                             atom_consumption, config_consumption,
-                             frame_energy, harvest, idle_harvest_fraction)
+from hris_sim.energy import (ConsumptionModel, HarvesterModel,
+                             atom_consumption, config_consumption, diode_count,
+                             frame_power, harvest, idle_harvest_fraction,
+                             slot_harvest)
 from hris_sim.hris import HrisConfig
+from hris_sim.scenario import Scenario, ScenarioError
 
 DEFAULT_HARVESTER = HarvesterModel(a=0.01, b=6.642857142857143e-05,
                                    c=0.013285714285714286)
@@ -99,66 +103,91 @@ class TestConfigConsumption:
 
 
 class TestFrameEnergy:
-    plan = FramePlan(n_dl=8, n_ul=3, n_ce=1, period=0.01, traffic=0.5)
-    consumption = ConsumptionModel(1e-4, 2, 4.9e-3, 1.8e-3)
+    harvest_w = 8 * harvest(DEFAULT_HARVESTER, 1e-3) \
+        + 3 * harvest(DEFAULT_HARVESTER, 1e-3)
+    diodes = 64  # 32 elements at index 3 in both banks, Q=2
+
+    def active(self, traffic=0.5):
+        return frame_power(self.harvest_w, self.diodes, traffic, 1e-4, 4.9e-3)
+
+    def idle(self, nu, zeta=0.5):
+        return frame_power(self.harvest_w, 0, nu * zeta, 1e-4, 1.8e-3)
 
     def test_idle_energy_is_controller_idle_only(self):
-        e_h, e_c = frame_energy(self.plan, DEFAULT_HARVESTER, self.consumption,
-                                1e-3, 1e-3, None, None, idle=True, nu=0.0126)
-        assert np.isclose(e_c, 0.01 * 1.8e-3)
+        power = self.idle(nu=0.0126)
+        assert power.consumed == 1.8e-3
+        assert power.diodes == 0.0
 
     def test_zero_traffic_harvests_nothing(self):
-        plan = FramePlan(n_dl=8, n_ul=3, period=0.01, traffic=0.0)
-        cfg = quantized_config(np.zeros(32, int), 2)
-        e_h, _ = frame_energy(plan, DEFAULT_HARVESTER, self.consumption,
-                              1e-3, 1e-3, cfg, cfg)
-        assert e_h == 0.0
+        assert self.active(traffic=0.0).harvested == 0.0
 
     def test_idle_fraction_hand_value(self):
         nu = idle_harvest_fraction(8, 4, 0.5)
         assert abs(nu - 0.125 / np.pi ** 2) < 1e-12
 
     def test_harvest_formula_matches_hand_expansion(self):
-        cfg = quantized_config(np.zeros(32, int), 2)
         p_b, p_u = 2e-3, 5e-4
-        e_h, e_c = frame_energy(self.plan, DEFAULT_HARVESTER, self.consumption,
-                                p_b, p_u, cfg, cfg)
-        expected = 0.01 * 0.5 * (8 * harvest(DEFAULT_HARVESTER, p_b)
-                                 + 3 * harvest(DEFAULT_HARVESTER, p_u))
-        assert np.isclose(e_h, expected)
-        assert np.isclose(e_c, 0.01 * 4.9e-3)
+        slot = slot_harvest(DEFAULT_HARVESTER, 8, 3, p_b, p_u)
+        power = frame_power(slot, self.diodes, 0.5, 1e-4, 4.9e-3)
+        expected = 0.5 * (8 * harvest(DEFAULT_HARVESTER, p_b)
+                          + 3 * harvest(DEFAULT_HARVESTER, p_u))
+        assert np.isclose(power.harvested, expected)
+        assert np.isclose(power.diodes, 64 * 1e-4)
+        assert np.isclose(power.consumed, 4.9e-3 + 64 * 1e-4)
+        assert np.isclose(power.net, expected - (4.9e-3 + 64 * 1e-4))
 
-    def test_linear_in_period_and_traffic(self):
-        cfg = quantized_config(np.full(32, 1), 2)
-        base_plan = FramePlan(n_dl=8, n_ul=3, period=0.01, traffic=0.25)
-        e_h0, e_c0 = frame_energy(base_plan, DEFAULT_HARVESTER, self.consumption,
-                                  1e-3, 1e-3, cfg, cfg)
-        double_t = FramePlan(n_dl=8, n_ul=3, period=0.02, traffic=0.25)
-        e_h1, e_c1 = frame_energy(double_t, DEFAULT_HARVESTER, self.consumption,
-                                  1e-3, 1e-3, cfg, cfg)
-        double_xi = FramePlan(n_dl=8, n_ul=3, period=0.01, traffic=0.5)
-        e_h2, _ = frame_energy(double_xi, DEFAULT_HARVESTER, self.consumption,
-                               1e-3, 1e-3, cfg, cfg)
-        assert np.isclose(e_h1, 2 * e_h0) and np.isclose(e_c1, 2 * e_c0)
-        assert np.isclose(e_h2, 2 * e_h0)
+    def test_linear_in_traffic(self):
+        base, double = self.active(traffic=0.25), self.active(traffic=0.5)
+        assert np.isclose(double.harvested, 2 * base.harvested)
+        assert double.consumed == base.consumed
 
     def test_idle_consumes_less_than_active(self):
-        cfg = quantized_config(np.full(32, 3), 2)
-        _, e_active = frame_energy(self.plan, DEFAULT_HARVESTER, self.consumption,
-                                   1e-3, 1e-3, cfg, cfg)
-        _, e_idle = frame_energy(self.plan, DEFAULT_HARVESTER, self.consumption,
-                                 1e-3, 1e-3, None, None, idle=True, nu=0.0126)
-        assert e_idle < e_active
+        assert self.idle(nu=0.0126).consumed < self.active().consumed
 
     def test_idle_scales_harvest_by_nu(self):
-        cfg = quantized_config(np.zeros(32, int), 2)
-        e_active, _ = frame_energy(self.plan, DEFAULT_HARVESTER, self.consumption,
-                                   1e-3, 1e-3, cfg, cfg)
         nu = idle_harvest_fraction(8, 4)
-        e_idle, _ = frame_energy(self.plan, DEFAULT_HARVESTER, self.consumption,
-                                 1e-3, 1e-3, None, None, idle=True, nu=nu)
-        assert np.isclose(e_idle, nu * e_active)
+        assert np.isclose(self.idle(nu).harvested, nu * self.active().harvested)
+
+    def test_element_wise_over_drops(self):
+        slot = np.array([0.0, 1e-3, 4e-3])
+        counts = np.array([0, 5, 64])
+        power = frame_power(slot, counts, 0.5, 1e-4, 4.9e-3)
+        for i in range(3):
+            one = frame_power(slot[i], counts[i], 0.5, 1e-4, 4.9e-3)
+            assert power.net[i] == one.net
 
     def test_ce_slot_required(self):
-        with pytest.raises(ValueError):
-            FramePlan(n_dl=8, n_ul=3, n_ce=0)
+        with pytest.raises(ScenarioError, match="n_ce_slots"):
+            Scenario(n_ce_slots=0)
+
+
+finite = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+
+
+class TestAccountingProperties:
+    @settings(deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_diode_count_matches_atom_consumption(self, q_bits, data):
+        idx = data.draw(st.lists(st.integers(0, 2 ** q_bits - 1),
+                                 min_size=1, max_size=64))
+        cfg = quantized_config(idx, q_bits)
+        unit = ConsumptionModel(1.0, q_bits, 0.0, 0.0)
+        assert diode_count(cfg) == sum(atom_consumption(m, unit) for m in idx)
+        model = ConsumptionModel(1e-4, q_bits, 4.9e-3, 1.8e-3)
+        assert config_consumption(cfg, model) == pytest.approx(
+            sum(atom_consumption(m, model) for m in idx), rel=1e-12, abs=0.0)
+
+    @settings(deadline=None)
+    @given(finite, st.integers(0, 10 ** 4), st.floats(0.0, 1.0), finite, finite)
+    def test_active_point_matches_inline_expression(self, h, d, traffic, p_on,
+                                                    controller):
+        reference = traffic * h - (controller + p_on * d)
+        assert frame_power(h, d, traffic, p_on, controller).net == reference
+
+    @settings(deadline=None)
+    @given(finite, st.floats(0.0, 1.0), st.floats(0.0, 1.0), finite, finite)
+    def test_idle_point_matches_inline_expression(self, h, nu, zeta, p_on,
+                                                  controller_idle):
+        reference = nu * zeta * h - controller_idle
+        power = frame_power(h, 0, nu * zeta, p_on, controller_idle)
+        assert power.net == reference

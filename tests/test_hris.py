@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hris_sim.channel import realize_channels
 from hris_sim.geometry import Radio, planar
@@ -57,6 +59,19 @@ class TestQuantize:
     def test_phase_indices_requires_quantized(self):
         with pytest.raises(ValueError):
             phase_indices(cfg([np.exp(1j * 0.1)]))
+
+    @settings(deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_quantize_then_phase_indices_roundtrips(self, q_bits, data):
+        angles = data.draw(st.lists(
+            st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False),
+            min_size=1, max_size=64))
+        snapped = quantize(cfg(np.exp(1j * np.asarray(angles))), q_bits)
+        idx = phase_indices(snapped)
+        assert idx.min() >= 0 and idx.max() < 2 ** q_bits
+        rebuilt = quantize(cfg(np.exp(2j * np.pi * idx / 2 ** q_bits)), q_bits)
+        assert np.array_equal(phase_indices(rebuilt), idx)
+        assert np.array_equal(rebuilt.phases, snapped.phases)
 
 
 class TestCodebook:

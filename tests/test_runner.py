@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from hris_sim.cli import main as cli_main
@@ -108,6 +110,45 @@ def test_cli_run_and_config_error(tmp_path):
     rc = cli_main(["run", "--config", str(tmp_path / "nope.json"),
                    "--experiment", "sumrate", "--out", str(tmp_path / "o2")])
     assert rc == 2
+
+
+def _cli_run(tmp_path, experiment, *extra):
+    from hris_sim.scenario import save_scenario
+    cfg = tmp_path / "sc.json"
+    save_scenario(SMALL, cfg)
+    return cli_main(["run", "--config", str(cfg), "--experiment", experiment,
+                     "--out", str(tmp_path / "out"), *extra])
+
+
+def test_cli_battery_single_drop_is_a_config_error(tmp_path, capsys):
+    assert _cli_run(tmp_path, "battery", "--drops", "1") == 2
+    assert "n_drops" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_energy_single_drop_fails_before_any_drop(tmp_path, capsys,
+                                                      monkeypatch):
+    import hris_sim.runner as runner
+
+    def no_drop(*args):
+        raise AssertionError("a drop ran before validation")
+
+    monkeypatch.setattr(runner, "realize_channels", no_drop)
+    assert _cli_run(tmp_path, "energy", "--drops", "1") == 2
+    assert "n_drops" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
+    assert _cli_run(tmp_path, "sumrate", "--workers", workers) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_library_runs_share_the_cli_validation():
+    with pytest.raises(ScenarioError, match="n_drops"):
+        run_battery_experiment(replace(SMALL, n_drops=1))
+    with pytest.raises(ScenarioError, match="--workers"):
+        run_sumrate_experiment(SMALL, workers=0)
 
 
 def test_cli_seed_and_drop_overrides(tmp_path):
