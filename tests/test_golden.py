@@ -14,17 +14,19 @@ import hashlib
 import io
 import tempfile
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from hris_sim.cli import main as cli_main
-from hris_sim.scenario import Scenario, save_scenario
+from hris_sim.scenario import Scenario, load_scenario, save_scenario
 
 SMALL = Scenario(n_drops=4, k_users=6, k_sweep=(4, 6), n_sweep=(16, 32),
                  q_sweep=(1, 2), p_on_sweep_mw=(0.1, 0.3, 1.0),
                  capacity_sweep_mah=(100.0, 400.0),
                  battery_trace_periods=5000, soc_trace_periods=100)
+COVERAGE = load_scenario(resources.files("hris_sim").joinpath("data/coverage.json"))
 
 # case -> (scenario, experiment, workers)
 CASES = {
@@ -32,6 +34,13 @@ CASES = {
     "sumrate-workers2": (SMALL, "sumrate", 2),
     "sumrate-sampled": (replace(SMALL, blockage_mode="sampled"), "sumrate", 1),
     "energy": (SMALL, "energy", 1),
+    # 64 elements at one bit: soft combining of the probed peaks nearly
+    # cancels, so the quantized configs and their diode counts depend on the
+    # last bits of every sensed power
+    "energy-n64-q1": (replace(SMALL, n_sweep=(64,), q_sweep=(1,), n_drops=2),
+                      "energy", 1),
+    # the packaged 128-antenna scenario at a small drop count
+    "sumrate-coverage-small": (replace(COVERAGE, n_drops=2), "sumrate", 1),
     # full traffic and a zero diode draw saturate the charging chains; with
     # no idle controller draw and eight-week steps the idle-mode harvest
     # lifts the low-traffic SoC trace off empty one state at a time
@@ -42,7 +51,9 @@ CASES = {
 }
 
 # recorded with numpy 2.4.6 and scipy 1.17.1, before the energy accounting,
-# codebook builds and saturated-drift rule each moved to a single code path
+# codebook builds and saturated-drift rule each moved to a single code path;
+# energy-n64-q1 and sumrate-coverage-small recorded later, with the same
+# versions, before the codebook became one (L, N) array of codewords
 GOLDEN = {
     "battery": {
         "battery_ploc.csv":
@@ -60,6 +71,16 @@ GOLDEN = {
         "energy_summary.csv":
             "d8b25f9d3b32f2263ebcbdbc919c19f45856dbb320570e98723de08a60363730",
     },
+    "energy-n64-q1": {
+        "battery_ploc.csv":
+            "a0bcd5e819277c0d9e4fa4696310da99e53c7006749881032d146073bf13d0eb",
+        "battery_soc.csv":
+            "c64c6339fe127febb3a19fd8b20252aee5beb43d5b9cc99d1cf83ef756b220a5",
+        "energy_drops.csv":
+            "54496a1c7c37cb9f317b24ae2558fee1141ca7fc55d6a4bbc6111e6a17a37d32",
+        "energy_summary.csv":
+            "5ed4591f71279de77b6641cf451fa630df9b6143df54121c12f351ff6d788331",
+    },
     "sumrate": {
         "direct_fraction.csv":
             "f373707e038fefdc1fd523c4da5b53ecaf3c6bd2a5f1840b297f05b7d7400ff6",
@@ -67,6 +88,14 @@ GOLDEN = {
             "33c176a1a9dfc2879a00c3b8ee6dbfb6120099b35919425132bcf693101a16ef",
         "sumrate_summary.csv":
             "e8e26887467790af95305aca59f7ae4d1219b0b94dc2ad51d3ca2f5a2f7e4555",
+    },
+    "sumrate-coverage-small": {
+        "direct_fraction.csv":
+            "d4b16f4d8d3577254e776ca9594eff4d33baf0ce4c7158d935ee732cf0b3c5fd",
+        "sumrate_drops.csv":
+            "3fa0893a4dadbe0bdd3a520fc70614f307c41d33c4abdf35fa458749eb2c067e",
+        "sumrate_summary.csv":
+            "959ad441597cffbf0bba80838991a8c6bacb758d951158ebc69aaa0594a173b2",
     },
     "sumrate-sampled": {
         "direct_fraction.csv":
