@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hris import HrisConfig, phase_indices
+from .hris import HrisConfig
 
 
 @dataclass
@@ -70,14 +70,14 @@ def atom_consumption(m: int, model: ConsumptionModel) -> float:
 def diode_count(config: HrisConfig) -> int:
     """Active PIN diodes of a quantized configuration: the popcount of its
     phase indices."""
-    return int(np.bitwise_count(phase_indices(config)).sum())
+    if config.indices is None:
+        raise ValueError("configuration is not quantized")
+    return int(np.bitwise_count(config.indices).sum())
 
 
 def config_consumption(config: HrisConfig, model: ConsumptionModel) -> float:
     """Total diode power of a quantized configuration (controller excluded)."""
-    if config.quantized is None:
-        raise ValueError("consumption accounting needs a quantized configuration")
-    if config.quantized != model.q_bits:
+    if config.quantized not in (None, model.q_bits):
         raise ValueError("configuration bit depth does not match the model")
     return model.p_on * diode_count(config)
 

@@ -30,7 +30,9 @@ class HrisConfig:
 
     phases: np.ndarray
     branch: str = REFLECTION
-    quantized: int | None = None  # bit depth when snapped to the phase grid
+    # bit depth and phase-grid indices, set only by from_indices
+    quantized: int | None = field(default=None, init=False)
+    indices: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.phases = np.asarray(self.phases, dtype=complex)
@@ -39,6 +41,16 @@ class HrisConfig:
         if np.any(np.abs(self.phases) > 1.0 + 1e-9):
             raise ValueError("per-element modulus must not exceed 1")
 
+    @classmethod
+    def from_indices(cls, indices, q_bits: int, branch: str = REFLECTION):
+        """Quantized configuration with phase 2*pi*m / 2^q_bits at index m."""
+        indices = np.asarray(indices)
+        if q_bits < 1 or indices.min() < 0 or indices.max() >= 2 ** q_bits:
+            raise ValueError("need q_bits >= 1 and indices in [0, 2^q_bits)")
+        config = cls(np.exp(1j * indices * (2.0 * np.pi / 2 ** q_bits)), branch)
+        config.quantized, config.indices = q_bits, indices
+        return config
+
     @property
     def n_elements(self) -> int:
         return self.phases.shape[0]
@@ -46,7 +58,7 @@ class HrisConfig:
 
 def idle_config(n_elements: int, branch: str = REFLECTION) -> HrisConfig:
     """All-zero-phase configuration (every phase shifter off)."""
-    return HrisConfig(np.ones(n_elements, dtype=complex), branch, quantized=None)
+    return HrisConfig(np.ones(n_elements, dtype=complex), branch)
 
 
 def phase_grid(q_bits: int) -> np.ndarray:
@@ -58,53 +70,26 @@ def phase_grid(q_bits: int) -> np.ndarray:
 
 
 def quantize(config: HrisConfig, q_bits: int) -> HrisConfig:
-    """Snap each phase to the nearest grid angle (ties to the smaller angle)
-    and force unit modulus."""
-    if q_bits < 1:
-        raise ValueError("q_bits must be >= 1")
+    """Snap each phase to the nearest grid angle and force unit modulus; a
+    tie keeps the smaller angle, which at the wrap-around is 0."""
     n_levels = 2 ** q_bits
-    step = 2.0 * np.pi / n_levels
-    x = (np.angle(config.phases) % (2.0 * np.pi)) / step
-    k = np.floor(x).astype(int)
-    frac = x - k
-    idx = np.where(frac > 0.5, k + 1, k)
-    tie = frac == 0.5
-    if np.any(tie):
-        # midway between two grid angles: keep the smaller angle value,
-        # which at the wrap-around is 0 rather than the last grid angle
-        idx = np.where(tie, np.where(k + 1 == n_levels, 0, k), idx)
-    idx = idx % n_levels
-    return HrisConfig(np.exp(1j * idx * step), config.branch, quantized=q_bits)
-
-
-def phase_indices(config: HrisConfig) -> np.ndarray:
-    """Grid indices of a quantized configuration."""
-    if config.quantized is None:
-        raise ValueError("configuration is not quantized")
-    n_levels = 2 ** config.quantized
-    step = 2.0 * np.pi / n_levels
-    angles = np.angle(config.phases) % (2.0 * np.pi)
-    idx = np.round(angles / step).astype(int) % n_levels
-    err = np.abs(np.angle(np.exp(1j * (angles - idx * step))))
-    if err.max() > 1e-9:
-        raise ValueError("phases do not lie on the declared quantization grid")
-    return idx
+    x = (np.angle(config.phases) % (2.0 * np.pi)) / (2.0 * np.pi / n_levels)
+    idx = np.ceil(x - 0.5).astype(int)
+    idx[x == n_levels - 0.5] = 0
+    return HrisConfig.from_indices(idx % n_levels, q_bits, config.branch)
 
 
 @dataclass
 class Codebook:
-    """Probing codewords (quantized steering configs) over a direction grid."""
+    """Probing codewords (quantized steering configs) over a direction grid:
+    row i of ``phases`` steers toward row i of ``directions``."""
 
-    codewords: list
-    directions: list  # (azimuth, elevation) pairs, radians
+    phases: np.ndarray  # (L, N) absorption phases
+    directions: np.ndarray  # (L, 2) azimuth, elevation in radians
     bit_depth: int
 
-    def __post_init__(self):
-        if len(self.codewords) != len(self.directions):
-            raise ValueError("one direction per codeword required")
-
     def __len__(self) -> int:
-        return len(self.codewords)
+        return self.phases.shape[0]
 
 
 def direction_unit_vector(azimuth: float, elevation: float) -> np.ndarray:
@@ -150,12 +135,19 @@ def build_codebook(geom: ArrayGeometry, radio: Radio, l_codewords: int,
         n_az, n_el = _grid_shape(l_codewords)
     azimuths = -np.pi / 2 + (np.arange(n_az) + 0.5) * np.pi / n_az
     elevations = -np.pi / 4 + (np.arange(n_el) + 0.5) * (np.pi / 2) / n_el
-    codewords, directions = [], []
-    for el in elevations:
-        for az in azimuths:
-            codewords.append(steering_config(geom, radio, az, el, q_bits))
-            directions.append((float(az), float(el)))
-    return Codebook(codewords, directions, q_bits)
+    directions = np.array([(az, el) for el in elevations for az in azimuths])
+    phases = np.stack([steering_config(geom, radio, az, el, q_bits).phases
+                       for az, el in directions])
+    return Codebook(phases, directions, q_bits)
+
+
+def _sensed_powers(phases: np.ndarray, incident: np.ndarray, eta: float,
+                   noise_var: float):
+    # phi^H x per row: np.vecdot gives np.vdot's bits, a matrix product does
+    # not; float_power is libm pow like a scalar ** 2, while ** 2 on an array
+    # is x*x, one bit off for about one value in a thousand
+    return (1.0 - eta) * np.float_power(np.abs(np.vecdot(phases, incident)),
+                                        2) + noise_var
 
 
 def sensed_power(config_abs: HrisConfig, incident: np.ndarray, eta: float,
@@ -163,8 +155,7 @@ def sensed_power(config_abs: HrisConfig, incident: np.ndarray, eta: float,
     """Power at the detector/harvester: (1-eta)*|phi^H x|^2 + noise_var."""
     if config_abs.branch != ABSORPTION:
         raise ValueError("sensing requires an absorption-branch configuration")
-    combined = np.vdot(config_abs.phases, np.asarray(incident, dtype=complex))
-    return float((1.0 - eta) * np.abs(combined) ** 2 + noise_var)
+    return float(_sensed_powers(config_abs.phases, incident, eta, noise_var))
 
 
 @dataclass
@@ -173,13 +164,11 @@ class PowerProfile:
 
     powers: np.ndarray
     threshold: float
-    peak_indices: np.ndarray = field(default=None)
+    peak_indices: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.powers = np.asarray(self.powers, dtype=float)
-        if self.peak_indices is None:
-            self.peak_indices = np.flatnonzero(self.powers > self.threshold)
-        self.peak_indices = np.asarray(self.peak_indices, dtype=int)
+        self.peak_indices = np.flatnonzero(self.powers > self.threshold)
 
     @property
     def detected(self) -> bool:
@@ -201,20 +190,18 @@ def probe(codebook: Codebook, incident: np.ndarray, eta: float,
     """
     if weighting not in ("hard", "soft"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    powers = np.array([sensed_power(c, incident, eta, noise_var)
-                       for c in codebook.codewords])
+    powers = _sensed_powers(codebook.phases, incident, eta, noise_var)
     if tau is None:
         tau = 2.0 * float(np.median(powers))
     elif tau < noise_var:
         raise ValueError("threshold below the noise floor")
     profile = PowerProfile(powers, float(tau))
+    peaks = profile.peak_indices
     if not profile.detected:
-        return profile, idle_config(codebook.codewords[0].n_elements, ABSORPTION)
-    weights = np.ones(profile.peak_indices.size) if weighting == "hard" \
-        else powers[profile.peak_indices]
-    combined = np.zeros(codebook.codewords[0].n_elements, dtype=complex)
-    for w, i in zip(weights, profile.peak_indices):
-        combined += w * codebook.codewords[i].phases
+        return profile, idle_config(codebook.phases.shape[1], ABSORPTION)
+    weights = np.ones(peaks.size) if weighting == "hard" else powers[peaks]
+    # the rows are added in peak order, as a running sum would add them
+    combined = (weights[:, None] * codebook.phases[peaks]).sum(axis=0)
     return profile, HrisConfig(np.exp(1j * np.angle(combined)), ABSORPTION)
 
 

@@ -151,9 +151,17 @@ class Scenario:
         require(self.seed >= 0, "seed must be a non-negative integer")
         require(self.probe_threshold_w is None or self.probe_threshold_w >= 0,
                 "probe_threshold_w must be >= 0 or null")
-        for n in self.n_sweep:
-            require(n % self.nx == 0,
-                    f"n_sweep entry {n} not divisible by nx={self.nx}")
+        # every sweep entry follows the rule of its scalar field
+        for name, ok, rule in (
+                ("k_sweep", lambda k: k >= 1, ">= 1"),
+                ("n_sweep", lambda n: n >= self.nx and n % self.nx == 0,
+                 f"a positive multiple of nx={self.nx}"),
+                ("q_sweep", lambda q: q >= 1, ">= 1"),
+                ("p_on_sweep_mw", lambda p: p >= 0, ">= 0"),
+                ("capacity_sweep_mah", lambda c: c > 0, "positive"),
+                ("zeta_sweep", lambda z: 0.0 <= z <= 1.0, "in [0, 1]")):
+            for value in getattr(self, name):
+                require(ok(value), f"{name} entry {value} must be {rule}")
 
     # --- derived SI quantities -------------------------------------------
     @property

@@ -109,8 +109,7 @@ def test_criterion_4_pin_diode_consumption_model():
     all_three = ConsumptionModel(1e-4, 2, 4.9e-3, 1.8e-3)
     from hris_sim.energy import config_consumption
     from hris_sim.hris import HrisConfig
-    cfg = HrisConfig(np.exp(1j * np.full(32, 3) * np.pi / 2), "reflection",
-                     quantized=2)
+    cfg = HrisConfig.from_indices(np.full(32, 3), 2, "reflection")
     total = config_consumption(cfg, all_three)
     assert total == pytest.approx(6.4e-3)
     _passed(f"criterion 4: diode draw equals p_on * popcount for all "

@@ -14,12 +14,6 @@ DEFAULT_HARVESTER = HarvesterModel(a=0.01, b=6.642857142857143e-05,
                                    c=0.013285714285714286)
 
 
-def quantized_config(indices, q_bits):
-    step = 2 * np.pi / 2 ** q_bits
-    phases = np.exp(1j * np.asarray(indices) * step)
-    return HrisConfig(phases, "reflection", quantized=q_bits)
-
-
 class TestHarvest:
     def test_zero_input_zero_output(self):
         assert harvest(DEFAULT_HARVESTER, 0.0) == 0.0
@@ -81,18 +75,18 @@ class TestConfigConsumption:
     model = ConsumptionModel(1e-4, 2, 4.9e-3, 1.8e-3)
 
     def test_zero_phase_config_draws_nothing(self):
-        assert config_consumption(quantized_config(np.zeros(32, int), 2),
-                                  self.model) == 0.0
+        cfg = HrisConfig.from_indices(np.zeros(32, int), 2)
+        assert config_consumption(cfg, self.model) == 0.0
 
     def test_all_index_three_table_value(self):
         # 32 elements, two diodes each at 0.1 mW -> 6.4 mW
-        cfg = quantized_config(np.full(32, 3), 2)
+        cfg = HrisConfig.from_indices(np.full(32, 3), 2)
         assert np.isclose(config_consumption(cfg, self.model), 6.4e-3)
 
     def test_random_config_popcount_sum(self):
         rng = np.random.default_rng(1)
         idx = rng.integers(0, 4, size=32)
-        cfg = quantized_config(idx, 2)
+        cfg = HrisConfig.from_indices(idx, 2)
         expected = 1e-4 * sum(bin(int(m)).count("1") for m in idx)
         assert np.isclose(config_consumption(cfg, self.model), expected)
 
@@ -100,6 +94,8 @@ class TestConfigConsumption:
         cfg = HrisConfig(np.exp(1j * np.linspace(0, 1, 32)), "reflection")
         with pytest.raises(ValueError):
             config_consumption(cfg, self.model)
+        with pytest.raises(ValueError):
+            diode_count(cfg)
 
 
 class TestFrameEnergy:
@@ -170,7 +166,7 @@ class TestAccountingProperties:
     def test_diode_count_matches_atom_consumption(self, q_bits, data):
         idx = data.draw(st.lists(st.integers(0, 2 ** q_bits - 1),
                                  min_size=1, max_size=64))
-        cfg = quantized_config(idx, q_bits)
+        cfg = HrisConfig.from_indices(idx, q_bits)
         unit = ConsumptionModel(1.0, q_bits, 0.0, 0.0)
         assert diode_count(cfg) == sum(atom_consumption(m, unit) for m in idx)
         model = ConsumptionModel(1e-4, q_bits, 4.9e-3, 1.8e-3)

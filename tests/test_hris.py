@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hris_sim.channel import realize_channels
-from hris_sim.geometry import Radio, planar
+from hris_sim.energy import diode_count
+from hris_sim.geometry import Radio, array_response, planar
 from hris_sim.hris import (ABSORPTION, HrisConfig, build_codebook,
-                           compose_reflection, idle_config, oracle_config,
-                           phase_grid, phase_indices, probe, quantize,
-                           sensed_power, steering_config)
+                           compose_reflection, direction_unit_vector,
+                           idle_config, oracle_config, phase_grid, probe,
+                           quantize, sensed_power, steering_config)
 from hris_sim.scenario import Scenario
 
 RADIO = Radio(28e9)
@@ -50,41 +51,88 @@ class TestQuantize:
         out = quantize(cfg([0.5 * np.exp(1j * 0.3)]), 2)
         assert np.isclose(abs(out.phases[0]), 1.0)
 
-    def test_phase_indices_roundtrip(self):
+    def test_indices_roundtrip(self):
         rng = np.random.default_rng(9)
         out = quantize(cfg(np.exp(1j * rng.uniform(0, 2 * np.pi, 64))), 2)
-        idx = phase_indices(out)
-        assert np.allclose(out.phases, np.exp(1j * idx * np.pi / 2))
+        assert np.allclose(out.phases, np.exp(1j * out.indices * np.pi / 2))
 
-    def test_phase_indices_requires_quantized(self):
+    def test_unquantized_config_has_no_indices(self):
+        unquantized = cfg([np.exp(1j * 0.1)])
+        assert unquantized.indices is None and unquantized.quantized is None
         with pytest.raises(ValueError):
-            phase_indices(cfg([np.exp(1j * 0.1)]))
+            diode_count(unquantized)
 
     @settings(deadline=None)
     @given(st.integers(1, 8), st.data())
-    def test_quantize_then_phase_indices_roundtrips(self, q_bits, data):
+    def test_quantize_then_indices_roundtrips(self, q_bits, data):
         angles = data.draw(st.lists(
             st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False),
             min_size=1, max_size=64))
         snapped = quantize(cfg(np.exp(1j * np.asarray(angles))), q_bits)
-        idx = phase_indices(snapped)
+        idx = snapped.indices
         assert idx.min() >= 0 and idx.max() < 2 ** q_bits
         rebuilt = quantize(cfg(np.exp(2j * np.pi * idx / 2 ** q_bits)), q_bits)
-        assert np.array_equal(phase_indices(rebuilt), idx)
+        assert np.array_equal(rebuilt.indices, idx)
         assert np.array_equal(rebuilt.phases, snapped.phases)
+        direct = HrisConfig.from_indices(idx, q_bits, ABSORPTION)
+        assert np.array_equal(direct.phases, snapped.phases)
+        assert direct.quantized == snapped.quantized == q_bits
+
+
+def _reference_quantize_indices(phases, q_bits):
+    """The floor/fraction/tie index rule that ``quantize`` replaced."""
+    n_levels = 2 ** q_bits
+    step = 2.0 * np.pi / n_levels
+    x = (np.angle(phases) % (2.0 * np.pi)) / step
+    k = np.floor(x).astype(int)
+    frac = x - k
+    idx = np.where(frac > 0.5, k + 1, k)
+    idx = np.where(frac == 0.5, np.where(k + 1 == n_levels, 0, k), idx)
+    return idx % n_levels
+
+
+@settings(deadline=None)
+@given(st.integers(1, 16), st.data())
+def test_quantize_indices_match_the_reference_rule(q_bits, data):
+    step = 2.0 * np.pi / 2 ** q_bits
+    angles = data.draw(st.lists(st.one_of(
+        st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False),
+        st.integers(-2 ** q_bits, 2 ** (q_bits + 1)).map(
+            lambda m: (m + 0.5) * step)), min_size=1, max_size=64))
+    phases = np.exp(1j * np.asarray(angles))
+    assert np.array_equal(quantize(cfg(phases), q_bits).indices,
+                          _reference_quantize_indices(phases, q_bits))
+
+
+class TestFromIndices:
+    def test_phases_on_the_grid(self):
+        out = HrisConfig.from_indices([0, 1, 2, 3], 2, ABSORPTION)
+        assert np.allclose(out.phases, [1, 1j, -1, -1j])
+        assert out.quantized == 2 and out.branch == ABSORPTION
+        assert np.array_equal(out.indices, [0, 1, 2, 3])
+
+    @pytest.mark.parametrize("indices, q_bits", [([0, 4], 2), ([-1], 2),
+                                                 ([0], 0)])
+    def test_rejects_indices_off_the_grid(self, indices, q_bits):
+        with pytest.raises(ValueError):
+            HrisConfig.from_indices(indices, q_bits)
+
+    def test_bit_depth_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            HrisConfig(np.ones(4), ABSORPTION, quantized=2)
 
 
 class TestCodebook:
     def test_table1_codebook_shape(self):
         cb = build_codebook(HRIS, RADIO, 32, 2)
         assert len(cb) == 32
-        assert len(set(cb.directions)) == 32
+        assert cb.phases.shape == (32, 32) and cb.directions.shape == (32, 2)
+        assert len(np.unique(cb.directions, axis=0)) == 32
         grid = phase_grid(2)
-        for c in cb.codewords:
-            assert np.allclose(np.abs(c.phases), 1.0)
-            angles = np.angle(c.phases) % (2 * np.pi)
-            dist = np.abs(np.exp(1j * angles[:, None]) - np.exp(1j * grid[None, :]))
-            assert dist.min(axis=1).max() < 1e-9
+        assert np.allclose(np.abs(cb.phases), 1.0)
+        angles = np.angle(cb.phases) % (2 * np.pi)
+        dist = np.abs(np.exp(1j * angles[..., None]) - np.exp(1j * grid))
+        assert dist.min(axis=-1).max() < 1e-9
 
     def test_broadside_codeword_all_ones(self):
         for q in (1, 2, 6):
@@ -93,14 +141,12 @@ class TestCodebook:
 
     def test_beam_gain_diagonal_dominates(self):
         cb = build_codebook(HRIS, RADIO, 32, 4)
-        from hris_sim.geometry import array_response
-        from hris_sim.hris import direction_unit_vector
         gains = np.empty((32, 32))
         for j, (az, el) in enumerate(cb.directions):
             p = HRIS.center + 1e3 * direction_unit_vector(az, el)
             a = array_response(HRIS, p, RADIO)
-            for i, c in enumerate(cb.codewords):
-                gains[i, j] = np.abs(np.vdot(c.phases, a))
+            for i, c in enumerate(cb.phases):
+                gains[i, j] = np.abs(np.vdot(c, a))
         assert np.all(np.argmax(gains, axis=0) == np.arange(32))
 
     def test_rejects_bad_size(self):
@@ -143,8 +189,6 @@ class TestProbe:
     noise = 1e-11
 
     def _incident(self, direction_index, cb, scale=1e-3):
-        from hris_sim.geometry import array_response
-        from hris_sim.hris import direction_unit_vector
         az, el = cb.directions[direction_index]
         p = HRIS.center + 1e3 * direction_unit_vector(az, el)
         return scale * array_response(HRIS, p, RADIO)
@@ -152,16 +196,16 @@ class TestProbe:
     def test_single_source_recovers_codeword(self):
         cb = build_codebook(HRIS, RADIO, 32, 2)
         v = self._incident(13, cb)
-        tau = 0.5 * sensed_power(cb.codewords[13], v, 0.8, self.noise)
+        tau = 0.5 * sensed_power(cfg(cb.phases[13]), v, 0.8, self.noise)
         profile, config = probe(cb, v, 0.8, self.noise, tau=tau)
         assert list(profile.peak_indices) == [13]
-        assert np.allclose(config.phases, cb.codewords[13].phases)
+        assert np.allclose(config.phases, cb.phases[13])
 
     def test_argmax_matches_source_for_every_grid_direction(self):
         cb = build_codebook(HRIS, RADIO, 32, 2)
         for j in range(32):
             v = self._incident(j, cb)
-            powers = np.array([sensed_power(c, v, 0.8, 0.0) for c in cb.codewords])
+            powers = np.array([sensed_power(cfg(c), v, 0.8, 0.0) for c in cb.phases])
             assert int(np.argmax(powers)) == j
 
     def test_no_source_flagged(self):
@@ -174,25 +218,87 @@ class TestProbe:
     def test_two_equal_sources_soft_combination(self):
         cb = build_codebook(HRIS, RADIO, 32, 2)
         v = self._incident(5, cb) + self._incident(26, cb)
-        p5 = sensed_power(cb.codewords[5], v, 0.8, self.noise)
-        p26 = sensed_power(cb.codewords[26], v, 0.8, self.noise)
+        p5 = sensed_power(cfg(cb.phases[5]), v, 0.8, self.noise)
+        p26 = sensed_power(cfg(cb.phases[26]), v, 0.8, self.noise)
         tau = 0.8 * min(p5, p26)
         profile, config = probe(cb, v, 0.8, self.noise, tau=tau, weighting="soft")
         assert set(profile.peak_indices) == {5, 26}
-        expected = p5 * cb.codewords[5].phases + p26 * cb.codewords[26].phases
+        expected = p5 * cb.phases[5] + p26 * cb.phases[26]
         assert np.allclose(config.phases, np.exp(1j * np.angle(expected)))
 
     def test_adaptive_threshold_is_twice_median(self):
         cb = build_codebook(HRIS, RADIO, 32, 2)
         v = self._incident(8, cb)
         profile, _ = probe(cb, v, 0.8, self.noise)
-        powers = np.array([sensed_power(c, v, 0.8, self.noise) for c in cb.codewords])
+        powers = np.array([sensed_power(cfg(c), v, 0.8, self.noise)
+                           for c in cb.phases])
         assert np.isclose(profile.threshold, 2 * np.median(powers))
 
     def test_threshold_below_noise_rejected(self):
         cb = build_codebook(HRIS, RADIO, 32, 2)
         with pytest.raises(ValueError):
             probe(cb, np.ones(32), 0.8, 1e-3, tau=1e-6)
+
+
+def _reference_probe(codebook, incident, eta, noise_var, weighting):
+    """The per-codeword sweep and running peak sum that ``probe`` replaced."""
+    incident = np.asarray(incident, dtype=complex)
+    powers = np.array([float((1.0 - eta) * np.abs(np.vdot(c, incident)) ** 2
+                             + noise_var) for c in codebook.phases])
+    peaks = np.flatnonzero(powers > 2.0 * float(np.median(powers)))
+    weights = np.ones(peaks.size) if weighting == "hard" else powers[peaks]
+    combined = np.zeros(codebook.phases.shape[1], dtype=complex)
+    for w, i in zip(weights, peaks):
+        combined += w * codebook.phases[i]
+    return powers, peaks, combined
+
+
+# 8x4 and 8x8 surfaces with one codeword per element, at Q = 1, 2, 3
+SURFACES = {nz: planar((0.0, 0.0, 6.0), 8, nz, RADIO.wavelength / 2)
+            for nz in (4, 8)}
+CODEBOOKS = {(nz, q): build_codebook(geom, RADIO, 8 * nz, q)
+             for nz, geom in SURFACES.items() for q in (1, 2, 3)}
+
+
+class TestArraySweepMatchesScalarReference:
+    noise = 1e-11
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from((4, 8)), st.sampled_from((1, 2, 3)),
+           st.sampled_from(("hard", "soft")), st.integers(0, 2 ** 32 - 1),
+           st.integers(1, 4))
+    def test_probe_is_bit_equal_to_the_codeword_loop(self, nz, q_bits,
+                                                     weighting, seed, n_src):
+        geom, cb = SURFACES[nz], CODEBOOKS[nz, q_bits]
+        rng = np.random.default_rng(seed)
+        # a few far-field sources at random directions plus a diffuse part
+        v = 1e-4 * (rng.normal(size=geom.n_elements)
+                    + 1j * rng.normal(size=geom.n_elements))
+        for _ in range(n_src):
+            az, el = rng.uniform(-1.5, 1.5), rng.uniform(-0.7, 0.7)
+            p = geom.center + 1e3 * direction_unit_vector(az, el)
+            v = v + rng.uniform(1e-4, 1e-2) * array_response(geom, p, RADIO)
+        powers, peaks, combined = _reference_probe(cb, v, 0.8, self.noise,
+                                                   weighting)
+        profile, config = probe(cb, v, 0.8, self.noise, weighting=weighting)
+        assert np.array_equal(profile.powers, powers)
+        assert np.array_equal(profile.peak_indices, peaks)
+        if peaks.size:
+            assert np.array_equal(config.phases,
+                                  np.exp(1j * np.angle(combined)))
+        for c, p in zip(cb.phases, powers):
+            assert sensed_power(cfg(c), v, 0.8, self.noise) == p
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.sampled_from((4, 8)), st.integers(1, 40), st.integers(1, 4))
+    def test_codebook_rows_are_the_steering_configs(self, nz, l_codewords,
+                                                    q_bits):
+        geom = SURFACES[nz]
+        cb = build_codebook(geom, RADIO, l_codewords, q_bits)
+        assert cb.phases.shape == (l_codewords, geom.n_elements)
+        for row, (az, el) in zip(cb.phases, cb.directions):
+            expected = steering_config(geom, RADIO, az, el, q_bits)
+            assert np.array_equal(row, expected.phases)
 
 
 class TestComposeAndOracle:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hris_sim.cli import main as cli_main
 from hris_sim.scenario import (Scenario, ScenarioError, default_scenario_path,
                                load_scenario, save_scenario, scenario_from_dict)
 
@@ -95,3 +96,24 @@ def test_validation_errors():
         Scenario(blockage_mode="psychic")
     with pytest.raises(ScenarioError):
         scenario_from_dict({})
+
+
+# each bad entry exited 1 with a traceback partway through the run, or ran to
+# the end, before the sweeps were checked entry by entry
+@pytest.mark.parametrize("name, bad", [
+    ("k_sweep", [0]), ("n_sweep", [0]), ("q_sweep", [0]),
+    ("capacity_sweep_mah", [-100.0]), ("p_on_sweep_mw", [-1.0]),
+    ("zeta_sweep", [2.0])])
+def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
+    data = Scenario(n_drops=2, k_users=4, k_sweep=(4,), n_sweep=(16,),
+                    q_sweep=(1,), p_on_sweep_mw=(0.1,),
+                    capacity_sweep_mah=(100.0,), zeta_sweep=(0.5,),
+                    battery_trace_periods=100, soc_trace_periods=10).to_dict()
+    data[name] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = cli_main(["run", "--config", str(path), "--experiment", "energy",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
