@@ -48,18 +48,34 @@ CASES = {
                         p_on_sweep_mw=(0.0, 0.1, 0.3, 1.0),
                         controller_idle_mw=0.0, mc_step_s=8 * 604800.0),
                 "battery", 1),
+    # a prime trace length leaves a partial block in the trace, and at the
+    # one-step capacity (two states) most steps of the near-balanced
+    # two-week drifts jump past either end of the battery
+    "battery-odd-periods": (replace(SMALL, battery_trace_periods=4999,
+                                    capacity_sweep_mah=(20.0, 100.0),
+                                    p_on_sweep_mw=(0.215, 0.22, 0.225),
+                                    mc_step_s=2 * 604800.0),
+                            "battery", 1),
 }
 
 # recorded with numpy 2.4.6 and scipy 1.17.1, before the energy accounting,
 # codebook builds and saturated-drift rule each moved to a single code path;
 # energy-n64-q1 and sumrate-coverage-small recorded later, with the same
-# versions, before the codebook became one (L, N) array of codewords
+# versions, before the codebook became one (L, N) array of codewords;
+# battery-odd-periods recorded with the same versions before the battery
+# trace and chain assembly were vectorized
 GOLDEN = {
     "battery": {
         "battery_ploc.csv":
             "28e1e0ff91bcffe40b3c72d781e5a36abaed71aed95b1e40f8b037a8fc60bbbe",
         "battery_soc.csv":
             "da77ea4168bd5d5c9ffced723c0bb3a5f27cfe4696aa8d832354e818be24bdec",
+    },
+    "battery-odd-periods": {
+        "battery_ploc.csv":
+            "64923a11ab79c3863a626e09ee61d81eaf53d93c0ff1c05c44cd1da5b312b38c",
+        "battery_soc.csv":
+            "d8bfa41a4922263f501f9dabb3f5144f5bfd17aa7495231531a513bf59e2544f",
     },
     "energy": {
         "battery_ploc.csv":
