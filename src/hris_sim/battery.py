@@ -13,6 +13,7 @@ Loss of charge is the stationary mass at or below the guard state. A trace
 simulator of the same quantized process provides the empirical counterpart.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -52,8 +53,9 @@ def states_for_capacity(capacity: float, delta: float) -> int:
 class NetEnergyDist:
     """Distribution of the net stored energy per period (Joules).
 
-    ``cdf`` maps a scalar to P[dE <= x]; ``sampler`` (rng, n) draws n values
-    and is required only by the trace simulator.
+    ``cdf`` maps an array of energies x to the array of P[dE <= x], element
+    by element; ``sampler`` (rng, n) draws n values and is required only by
+    the trace simulator.
     """
 
     mean: float
@@ -98,7 +100,8 @@ def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
     """Assemble the transition matrix from the net-energy CDF.
 
     ``gamma`` is the guard fraction of capacity; the guard state index is
-    floor(gamma * (S-1)).
+    floor(gamma * (S-1)). ``dist.cdf`` is called once, on the array of the
+    2S-1 grid points k*delta for k in [-(S-1), S-1].
     """
     if n_states < 2:
         raise ValueError("need at least two states")
@@ -107,22 +110,18 @@ def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     s = n_states
-    # F evaluated on the step grid k*delta for k in [-(S-1), S-1]
-    f_grid = np.array([float(dist.cdf(k * delta)) for k in range(-(s - 1), s)])
-    if np.any(np.diff(f_grid) < -1e-12) or np.any(f_grid < -1e-12) \
+    # f_grid[k + S-1] = F(k*delta) for k in [-(S-1), S-1]
+    f_grid = np.asarray(dist.cdf(np.arange(-(s - 1), s) * delta), dtype=float)
+    steps = np.diff(f_grid)  # steps[k + S-1] = F((k+1)*delta) - F(k*delta)
+    if np.any(steps < -1e-12) or np.any(f_grid < -1e-12) \
             or np.any(f_grid > 1 + 1e-12):
         raise ValueError("cdf is not monotone non-decreasing into [0, 1]")
-
-    def f(k: int) -> float:  # F(k*delta)
-        return f_grid[k + s - 1]
-
-    psi = np.zeros((s, s))
-    for i in range(s):
-        psi[i, 0] = f(max(1 - i, -(s - 1)))
-        if s > 1:
-            psi[i, s - 1] = 1.0 - f(min(s - 1 - i, s - 1))
-        for j in range(1, s - 1):
-            psi[i, j] = f(j - i + 1) - f(j - i)
+    rows = np.arange(s)
+    psi = np.empty((s, s))
+    psi[:, 0] = f_grid[s - rows]  # F((1-i)*delta)
+    psi[:, s - 1] = 1.0 - f_grid[2 * s - 2 - rows]  # 1 - F((S-1-i)*delta)
+    # Toeplitz interior: psi[i, j] depends on j - i only
+    psi[:, 1:s - 1] = steps[rows[None, 1:s - 1] - rows[:, None] + (s - 1)]
     row_err = np.abs(psi.sum(axis=1) - 1.0).max()
     if row_err > 1e-12 or psi.min() < -1e-15:
         raise ValueError(f"transition matrix not stochastic (row error {row_err:.3e})")
@@ -264,7 +263,52 @@ def _per_period_steps(source, delta: float, n_periods: int, rng) -> np.ndarray:
         if values.size < n_periods:
             raise ValueError("energy stream shorter than the requested trace")
         values = values[:n_periods]
-    return np.floor(values / delta).astype(np.int64)
+    quotient = values / delta
+    return np.floor(quotient, out=quotient).astype(np.int64)
+
+
+def _clamped_walk(steps: np.ndarray, start: int, top: int,
+                  states: np.ndarray) -> None:
+    """Fill ``states`` with the walk x -> min(max(x + step, 0), top) from
+    ``start``, exactly, by a blocked scan over composed clamp maps.
+
+    The steps of one block of b periods compose into the map
+    x -> min(max(x + a, lo), hi), where a is the block's step sum and lo and
+    hi are the block's walk from 0 and from top. Both walks run for all
+    blocks at once, one vector update per position in the block; a scalar
+    pass then carries the start state across the blocks, and a second vector
+    sweep replays every block from its start. Steps are clipped to
+    [-top, top] in place first: no state changes, and no int64 sum can wrap
+    around, since each state update stays within [-top, 2*top] and each
+    block sum within b*top.
+    """
+    n = steps.size
+    np.clip(steps, -top, top, out=steps)
+    b = math.isqrt(n)
+    n_blocks = n // b
+    body = steps[:n_blocks * b].reshape(n_blocks, b)
+    out = states[:n_blocks * b].reshape(n_blocks, b)
+
+    def sweep(x, write):  # walk every row of x through the b block positions
+        for k in range(b):
+            np.add(x, body[:, k], out=x)
+            np.maximum(x, 0, out=x)
+            np.minimum(x, top, out=x)
+            if write:
+                out[:, k] = x
+
+    lo_hi = np.zeros((2, n_blocks), dtype=np.int64)
+    lo_hi[1] = top
+    sweep(lo_hi, write=False)
+    x = start
+    starts = []
+    for a, lo, hi in zip(body.sum(axis=1).tolist(), *lo_hi.tolist()):
+        starts.append(x)
+        x = min(max(x + a, lo), hi)
+    sweep(np.array(starts, dtype=np.int64), write=True)
+    for t in range(n_blocks * b, n):  # remainder, fewer than b steps
+        x = min(max(x + int(steps[t]), 0), top)
+        states[t] = x
 
 
 def simulate_trace(source, capacity: float, delta: float, gamma: float,
@@ -293,18 +337,21 @@ def simulate_trace(source, capacity: float, delta: float, gamma: float,
     if idle_source is not None:
         idle_steps = _per_period_steps(idle_source, delta, n_periods, rng)
     states = np.empty(n_periods, dtype=np.int64)
-    idle = state <= guard
-    for t in range(n_periods):
-        move = idle_steps[t] if (idle and idle_steps is not None) else steps[t]
-        state += move
-        if state < 0:
-            state = 0
-        elif state > top:
-            state = top
-        states[t] = state
-        if state <= guard:
-            idle = True
-        elif state > guard + 1:  # exit hysteresis: one state above the guard
-            idle = False
+    if idle_steps is None:
+        _clamped_walk(steps, state, top, states)
+    else:
+        idle = state <= guard
+        for t in range(n_periods):
+            move = idle_steps[t] if idle else steps[t]
+            state += move
+            if state < 0:
+                state = 0
+            elif state > top:
+                state = top
+            states[t] = state
+            if state <= guard:
+                idle = True
+            elif state > guard + 1:  # exit hysteresis: one state above the guard
+                idle = False
     ploc = float(np.mean(states[burn_in:] <= guard))
-    return ploc, states.astype(float) * delta
+    return ploc, np.multiply(states, delta)

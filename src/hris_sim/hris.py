@@ -24,9 +24,12 @@ ABSORPTION = "absorption"
 _FAR_FIELD_M = 1e3
 
 
-@dataclass
+@dataclass(eq=False)
 class HrisConfig:
-    """One phase configuration of the surface (reflection or absorption branch)."""
+    """One phase configuration of the surface (reflection or absorption branch).
+
+    ``==`` is identity: compare the ``phases`` arrays to compare values.
+    """
 
     phases: np.ndarray
     branch: str = REFLECTION
@@ -79,10 +82,11 @@ def quantize(config: HrisConfig, q_bits: int) -> HrisConfig:
     return HrisConfig.from_indices(idx % n_levels, q_bits, config.branch)
 
 
-@dataclass
+@dataclass(eq=False)
 class Codebook:
     """Probing codewords (quantized steering configs) over a direction grid:
-    row i of ``phases`` steers toward row i of ``directions``."""
+    row i of ``phases`` steers toward row i of ``directions``. ``==`` is
+    identity."""
 
     phases: np.ndarray  # (L, N) absorption phases
     directions: np.ndarray  # (L, 2) azimuth, elevation in radians

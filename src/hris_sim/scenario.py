@@ -8,6 +8,8 @@ are exposed as properties.
 
 import dataclasses
 import json
+import numbers
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -19,6 +21,28 @@ class ScenarioError(ValueError):
 
 def _tuple(value):
     return tuple(value) if isinstance(value, (list, tuple)) else value
+
+
+# list-valued fields: the type of their entries and their length when fixed
+_SEQUENCES = {
+    "bs_position": (float, 3), "hris_position": (float, 3),
+    "area_min": (float, 2), "area_max": (float, 2), "schemes": (str, None),
+    "k_sweep": (int, None), "n_sweep": (int, None), "q_sweep": (int, None),
+    "p_on_sweep_mw": (float, None), "capacity_sweep_mah": (float, None),
+    "zeta_sweep": (float, None)}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", type(None): "null"}
+
+
+def _is_kind(kind, value) -> bool:
+    """Type rule of a scenario field: integers are numbers, booleans are not."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, numbers.Integral)
+    if kind is float:
+        return isinstance(value, numbers.Real)
+    return isinstance(value, kind)
 
 
 @dataclass
@@ -99,11 +123,29 @@ class Scenario:
     zeta_sweep: tuple = (0.2, 0.5, 0.8)
 
     def __post_init__(self):
-        for name in ("bs_position", "hris_position", "area_min", "area_max",
-                     "schemes", "k_sweep", "n_sweep", "q_sweep",
-                     "p_on_sweep_mw", "capacity_sweep_mah", "zeta_sweep"):
+        for name in _SEQUENCES:
             setattr(self, name, _tuple(getattr(self, name)))
+        self._check_types()
         self._validate()
+
+    def _check_types(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = typing.get_args(f.type) or (f.type,)  # float | None
+            if f.name in _SEQUENCES:
+                kind, length = _SEQUENCES[f.name]
+                if not isinstance(value, tuple) \
+                        or length not in (None, len(value)):
+                    size = f" of {length} entries" if length else ""
+                    raise ScenarioError(f"{f.name} must be a list{size}, "
+                                        f"got {value!r}")
+                for entry in value:
+                    if not _is_kind(kind, entry):
+                        raise ScenarioError(f"{f.name} entry {entry!r} must be "
+                                            f"{_KIND_NAMES[kind]}")
+            elif not any(_is_kind(kind, value) for kind in kinds):
+                expected = " or ".join(_KIND_NAMES[kind] for kind in kinds)
+                raise ScenarioError(f"{f.name} must be {expected}, got {value!r}")
 
     def _validate(self):
         def require(cond, msg):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
 from hris_sim.battery import (BatteryChain, NetEnergyDist, ReducibleChainError,
@@ -14,7 +17,7 @@ def two_point_dist(lo, hi, delta):
     a, b = lo * delta, hi * delta
 
     def cdf(x):
-        return (0.5 if x > a else 0.0) + (0.5 if x > b else 0.0)
+        return np.where(x > a, 0.5, 0.0) + np.where(x > b, 0.5, 0.0)
 
     return NetEnergyDist(mean=(a + b) / 2, std=(b - a) / 2, cdf=cdf,
                          sampler=lambda rng, n: np.where(rng.uniform(size=n) < 0.5, a, b))
@@ -185,6 +188,14 @@ class TestTrace:
                                       burn_in=10 ** 4)
         assert abs(empirical - theory) <= 3 * se
 
+    def test_step_near_the_int64_limit_pins_the_trace_full(self):
+        # 2^63 - 1024 is the largest float below 2^63: added unclipped to a
+        # state above 1023 it wraps around to a negative int64
+        ploc, soc = simulate_trace(np.array([2.0 ** 63 - 1024, 0.0]), 2000.0,
+                                   1.0, 0.1, 2, np.random.default_rng(0))
+        assert ploc == 0.0
+        assert np.array_equal(soc, [2000.0, 2000.0])
+
     def test_idle_source_engages_below_guard(self):
         # harsh active drain, generous idle recharge: the trace must bounce
         # off the guard band instead of pinning at zero
@@ -200,6 +211,95 @@ class TestTrace:
         # it, drain again; the tail never returns to full charge
         assert soc[-100:].max() <= 70.0
         assert (states[-100:] <= 3).any()
+
+
+def scalar_psi(dist, s, delta):
+    """Transition matrix by one scalar cdf call per grid point and one
+    assignment per entry: the reference for build_chain's Toeplitz form."""
+    f_grid = np.array([float(dist.cdf(k * delta)) for k in range(-(s - 1), s)])
+
+    def f(k):  # F(k*delta)
+        return f_grid[k + s - 1]
+
+    psi = np.zeros((s, s))
+    for i in range(s):
+        psi[i, 0] = f(max(1 - i, -(s - 1)))
+        psi[i, s - 1] = 1.0 - f(min(s - 1 - i, s - 1))
+        for j in range(1, s - 1):
+            psi[i, j] = f(j - i + 1) - f(j - i)
+    return np.clip(psi, 0.0, None)
+
+
+def scalar_trace(source, capacity, delta, gamma, n_periods, initial_soc=None,
+                 burn_in=0):
+    """One clamped step per period on numpy scalars: the reference for
+    simulate_trace without an idle source (array sources only)."""
+    s = states_for_capacity(capacity, delta)
+    guard = int(np.floor(gamma * (s - 1)))
+    top = s - 1
+    state = top if initial_soc is None else int(round(
+        min(max(initial_soc, 0.0), capacity) / delta))
+    steps = np.floor(np.asarray(source, dtype=float)[:n_periods]
+                     / delta).astype(np.int64)
+    states = np.empty(n_periods, dtype=np.int64)
+    for t in range(n_periods):
+        state += steps[t]
+        if state < 0:
+            state = 0
+        elif state > top:
+            state = top
+        states[t] = state
+    ploc = float(np.mean(states[burn_in:] <= guard))
+    return ploc, states.astype(float) * delta
+
+
+class TestVectorizedAgainstScalar:
+    @settings(deadline=None, max_examples=150)
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 50.0), st.integers(2, 80),
+           st.floats(1e-2, 10.0))
+    def test_psi_equals_scalar_assembly(self, mean, std, s, delta):
+        dist = NetEnergyDist.gaussian(mean, std)
+        psi = build_chain(dist, s, delta, 0.1).psi
+        assert np.array_equal(psi, scalar_psi(dist, s, delta))
+        assert np.abs(psi.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 40), st.sampled_from((0.5, 1.0, 3.0)), st.data())
+    @example(top=1, delta=1.0, data=None)  # two states, one period
+    def test_trace_equals_scalar_loop(self, top, delta, data):
+        capacity = top * delta
+        if data is None:
+            n, steps, initial_soc, burn_in = 1, np.array([5]), None, 0
+        else:
+            n = data.draw(st.integers(1, 3000), label="n_periods")
+            near = st.integers(-2 * top - 1, 2 * top + 1)
+            far = st.integers(-2 ** 62, 2 ** 62)  # far past either end
+            steps = data.draw(arrays(np.int64, n, elements=st.one_of(
+                near, near, far)), label="steps")
+            initial_soc = data.draw(st.one_of(
+                st.none(), st.floats(-capacity, 2.0 * capacity)),
+                label="initial_soc")
+            burn_in = data.draw(st.integers(0, n - 1), label="burn_in")
+        # energies a quarter step into each step's bin
+        source = (steps + 0.25) * delta
+        got = simulate_trace(source, capacity, delta, 0.1, n,
+                             np.random.default_rng(0),
+                             initial_soc=initial_soc, burn_in=burn_in)
+        want = scalar_trace(source, capacity, delta, 0.1, n,
+                            initial_soc=initial_soc, burn_in=burn_in)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+    def test_sampled_trace_equals_scalar_loop(self):
+        # a Gaussian source: same draws, same trace, over many blocks
+        dist = NetEnergyDist.gaussian(0.4, 9.0)
+        n = 100_003
+        got = simulate_trace(dist, 60.0, 5.0, 0.1, n,
+                             np.random.default_rng(11), burn_in=1000)
+        energies = dist.sample(np.random.default_rng(11), n)
+        want = scalar_trace(energies, 60.0, 5.0, 0.1, n, burn_in=1000)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
 
 
 class TestStandardError:

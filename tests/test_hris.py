@@ -122,6 +122,14 @@ class TestFromIndices:
             HrisConfig(np.ones(4), ABSORPTION, quantized=2)
 
 
+def test_configs_and_codebooks_compare_by_identity():
+    # the generated dataclass __eq__ raised on the array fields
+    a, b = HrisConfig(np.ones(4)), HrisConfig(np.ones(4))
+    assert a == a and a != b
+    cb = build_codebook(HRIS, RADIO, 4, 1)
+    assert cb == cb and cb != build_codebook(HRIS, RADIO, 4, 1)
+
+
 class TestCodebook:
     def test_table1_codebook_shape(self):
         cb = build_codebook(HRIS, RADIO, 32, 2)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hris_sim.cli import main as cli_main
@@ -117,3 +118,33 @@ def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# both exited 1 with a TypeError traceback from the range checks
+@pytest.mark.parametrize("name, bad", [("nx", "8"), ("k_sweep", ["a"])])
+def test_wrong_field_type_is_a_config_error(tmp_path, capsys, name, bad):
+    data = json.loads(default_scenario_path().read_text())
+    data[name] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = cli_main(["run", "--config", str(path), "--experiment", "sumrate",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("nx", True), ("nx", 8.0), ("seed", 1.5), ("eta", False), ("p_dbm", None),
+    ("probe_threshold_w", "1e-9"), ("bs_hris_always_los", 1),
+    ("k_sweep", 10), ("k_sweep", (10.0,)), ("q_sweep", (True,)),
+    ("schemes", (1,)), ("bs_position", (0.0, 0.0))])
+def test_wrong_field_type_rejected(field, bad):
+    with pytest.raises(ScenarioError, match=field):
+        Scenario(**{field: bad})
+
+
+def test_numpy_scalars_and_integers_for_numbers_accepted():
+    sc = Scenario(nx=np.int64(8), p_dbm=20, eta=np.float64(0.8),
+                  k_sweep=[np.int64(10)], probe_threshold_w=None)
+    assert sc.nx == 8 and sc.k_sweep == (10,)
