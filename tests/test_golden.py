@@ -33,6 +33,11 @@ CASES = {
     "sumrate": (SMALL, "sumrate", 1),
     "sumrate-workers2": (SMALL, "sumrate", 2),
     "sumrate-sampled": (replace(SMALL, blockage_mode="sampled"), "sumrate", 1),
+    # the BS-HRIS link draws its LoS state after the user links; with the BS
+    # below blocker height that draw comes out both ways across the drops
+    "sumrate-los-drawn": (replace(SMALL, bs_hris_always_los=False,
+                                  bs_position=(-25.0, 25.0, 1.0)),
+                          "sumrate", 1),
     "energy": (SMALL, "energy", 1),
     # 64 elements at one bit: soft combining of the probed peaks nearly
     # cancels, so the quantized configs and their diode counts depend on the
@@ -63,7 +68,8 @@ CASES = {
 # energy-n64-q1 and sumrate-coverage-small recorded later, with the same
 # versions, before the codebook became one (L, N) array of codewords;
 # battery-odd-periods recorded with the same versions before the battery
-# trace and chain assembly were vectorized
+# trace and chain assembly were vectorized; sumrate-los-drawn recorded with
+# the same versions before channel realization was stacked over the users
 GOLDEN = {
     "battery": {
         "battery_ploc.csv":
@@ -112,6 +118,14 @@ GOLDEN = {
             "3fa0893a4dadbe0bdd3a520fc70614f307c41d33c4abdf35fa458749eb2c067e",
         "sumrate_summary.csv":
             "959ad441597cffbf0bba80838991a8c6bacb758d951158ebc69aaa0594a173b2",
+    },
+    "sumrate-los-drawn": {
+        "direct_fraction.csv":
+            "f0ab197a7fac1bc42717dab185b7f25065750327385aa85a4c4a584940fef8a2",
+        "sumrate_drops.csv":
+            "13c3e923030265ee2bdffad69848c51be327b380f66db84067dd4eeffda670b9",
+        "sumrate_summary.csv":
+            "1f9a153a905ac49fd69effd2dab13b98a2dead429ff89f52b02b0eeac6b4f10d",
     },
     "sumrate-sampled": {
         "direct_fraction.csv":
