@@ -67,36 +67,42 @@ class ChannelSet:
         return self.h.shape[0]
 
 
-def pathloss(p, q, model: PathlossModel, exponent: float) -> float:
-    """Linear gain gamma0 * (d0 / ||p-q||)^exponent; errors on zero distance."""
-    dist = float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
-    if dist < 1e-15:
+def pathloss(p, q, model: PathlossModel, exponent):
+    """Linear gain gamma0 * (d0 / ||p-q||)^exponent; errors on zero distance.
+
+    Points (3,) give a float; a stack of points (k, 3) with one exponent per
+    link gives (k,).
+    """
+    diff = np.asarray(p, float) - np.asarray(q, float)
+    dist = np.sqrt(np.vecdot(diff, diff))  # the bits of np.linalg.norm per row
+    if np.any(dist < 1e-15):
         raise ValueError("zero distance between link endpoints")
-    return model.gamma0 * (model.d0 / dist) ** exponent
+    gain = model.gamma0 * np.float_power(model.d0 / dist, exponent)
+    return float(gain) if gain.ndim == 0 else gain
 
 
-def _shadow_fraction(h_a: float, h_b: float, h_blocker: float) -> float:
-    """Fraction of the ground track where the link sits below blocker height."""
-    hi, lo = max(h_a, h_b), min(h_a, h_b)
-    if hi == lo:
-        return 1.0 if hi < h_blocker else 0.0
-    return min(1.0, max(0.0, (h_blocker - lo) / (hi - lo)))
-
-
-def los_probability(tx, rx, field: BlockageField) -> float:
+def los_probability(tx, rx, field: BlockageField):
     """Closed-form LoS probability of the tx-rx link under the blocker field.
 
     A blocker occludes the link where the link height falls below the blocker
     height, so the blocking region is a rectangle of width ``blocker_diameter``
     over that portion of the ground-plane track; the LoS probability is the
-    void probability of the Poisson field on that rectangle.
+    void probability of the Poisson field on that rectangle. Points (3,) give
+    a float; a stack of points (k, 3) gives (k,).
     """
     tx = np.asarray(tx, float)
     rx = np.asarray(rx, float)
-    d2d = float(np.linalg.norm(tx[:2] - rx[:2]))
-    frac = _shadow_fraction(tx[2], rx[2], field.blocker_height)
+    ground = tx[..., :2] - rx[..., :2]
+    d2d = np.sqrt(np.vecdot(ground, ground))
+    # fraction of the ground track where the link is below blocker height
+    hi = np.maximum(tx[..., 2], rx[..., 2])
+    lo = np.minimum(tx[..., 2], rx[..., 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(hi == lo, (hi < field.blocker_height) * 1.0,
+                        np.clip((field.blocker_height - lo) / (hi - lo), 0.0, 1.0))
     mean_blockers = field.density * field.blocker_diameter * d2d * frac
-    return float(min(1.0, np.exp(-mean_blockers)))
+    prob = np.minimum(1.0, np.exp(-mean_blockers))
+    return float(prob) if prob.ndim == 0 else prob
 
 
 def simulate_blockage(tx, rx, field: BlockageField, rng, trials: int = 1) -> np.ndarray:
@@ -125,10 +131,12 @@ def simulate_blockage(tx, rx, field: BlockageField, rng, trials: int = 1) -> np.
     return ~blocked
 
 
-def _draw_los(tx, rx, field: BlockageField, rng) -> bool:
+def _draw_los(tx, points, field: BlockageField, rng) -> np.ndarray:
+    """LoS flag of the link from ``tx`` to each of ``points`` (k, 3)."""
     if field.mode == "sampled":
-        return bool(simulate_blockage(tx, rx, field, rng, trials=1)[0])
-    return bool(rng.uniform() < los_probability(tx, rx, field))
+        return np.array([simulate_blockage(tx, p, field, rng, trials=1)[0]
+                         for p in points])
+    return rng.uniform(size=len(points)) < los_probability(tx, points, field)
 
 
 def realize_channels(scenario: Scenario, rng) -> ChannelSet:
@@ -150,38 +158,30 @@ def realize_channels(scenario: Scenario, rng) -> ChannelSet:
                           scenario.blockage_mode)
 
     k = scenario.k_users
-    lo = np.asarray(scenario.area_min, float)
-    hi = np.asarray(scenario.area_max, float)
-    ue = np.empty((k, 3))
-    ue[:, 0] = rng.uniform(lo[0], hi[0], size=k)
-    ue[:, 1] = rng.uniform(lo[1], hi[1], size=k)
-    ue[:, 2] = scenario.ue_height_m
+    ue = np.full((k, 3), scenario.ue_height_m, dtype=float)
+    ue[:, 0] = rng.uniform(scenario.area_min[0], scenario.area_max[0], size=k)
+    ue[:, 1] = rng.uniform(scenario.area_min[1], scenario.area_max[1], size=k)
 
     b = np.asarray(scenario.bs_position, float)
     r = np.asarray(scenario.hris_position, float)
 
-    los_bs_ue = np.array([_draw_los(b, ue[i], field, rng) for i in range(k)])
-    los_hris_ue = np.array([_draw_los(r, ue[i], field, rng) for i in range(k)])
-    if scenario.bs_hris_always_los:
-        los_bs_hris = True
-    else:
-        los_bs_hris = _draw_los(b, r, field, rng)
+    los_bs_ue = _draw_los(b, ue, field, rng)
+    los_hris_ue = _draw_los(r, ue, field, rng)
+    los_bs_hris = scenario.bs_hris_always_los \
+        or bool(_draw_los(b, r[None], field, rng)[0])
 
-    def chi(los: bool) -> float:
-        return model.chi_los if los else model.chi_nlos
+    def chi(los):
+        return np.where(los, model.chi_los, model.chi_nlos)
 
     a_r_bs = array_response(hris, b, radio)
     a_bs_hris = array_response(bs, r, radio)
     gain_g = pathloss(b, r, model, chi(los_bs_hris))
     G = np.sqrt(gain_g) * np.outer(a_r_bs, a_bs_hris.conj())
 
-    h = np.empty((k, hris.n_elements), dtype=complex)
-    h_d = np.empty((k, bs.n_elements), dtype=complex)
-    for i in range(k):
-        h[i] = np.sqrt(pathloss(ue[i], r, model, chi(los_hris_ue[i]))) \
-            * array_response(hris, ue[i], radio)
-        h_d[i] = np.sqrt(pathloss(b, ue[i], model, chi(los_bs_ue[i]))) \
-            * array_response(bs, ue[i], radio)
+    h = np.sqrt(pathloss(ue, r, model, chi(los_hris_ue)))[:, None] \
+        * array_response(hris, ue, radio)
+    h_d = np.sqrt(pathloss(b, ue, model, chi(los_bs_ue)))[:, None] \
+        * array_response(bs, ue, radio)
 
     return ChannelSet(G=G, h=h, h_d=h_d, los_bs_hris=los_bs_hris,
                       los_hris_ue=los_hris_ue, los_bs_ue=los_bs_ue,

@@ -90,14 +90,13 @@ def wave_vector(p, q, wavelength: float) -> np.ndarray:
     """Wave vector (rad/m) at ``q`` for a plane wave arriving from ``p``.
 
     Points from ``q`` toward the source: (2*pi/wavelength) * (p-q)/||q-p||.
+    A point ``p`` of shape (3,) gives (3,); a stack (k, 3) gives (k, 3).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    diff = p - q
-    dist = np.linalg.norm(diff)
-    if dist < 1e-15:
+    diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    dist = np.sqrt(np.vecdot(diff, diff))
+    if np.any(dist < 1e-15):
         raise ValueError("degenerate link: endpoints coincide")
-    return (2.0 * np.pi / wavelength) * diff / dist
+    return (2.0 * np.pi / wavelength) * diff / dist[..., None]
 
 
 def array_response(arr: ArrayGeometry, p, radio: Radio) -> np.ndarray:
@@ -105,6 +104,7 @@ def array_response(arr: ArrayGeometry, p, radio: Radio) -> np.ndarray:
 
     Entry n is exp(j * <k, offset_n>) with k the wave vector from ``p``
     toward the array center. ``p`` is assumed outside the array aperture.
+    A point of shape (3,) gives (n,); a stack (k, 3) gives one row per point.
     """
     k = wave_vector(p, arr.center, radio.wavelength)
-    return np.exp(1j * (arr.element_offsets @ k))
+    return np.exp(1j * (k @ arr.element_offsets.T))

@@ -1,11 +1,123 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hris_sim.channel import (BlockageField, PathlossModel, los_probability,
-                              pathloss, realize_channels, simulate_blockage)
+from hris_sim.channel import (BlockageField, ChannelSet, PathlossModel,
+                              los_probability, pathloss, realize_channels,
+                              simulate_blockage)
+from hris_sim.geometry import Radio, array_response, planar, ula, wave_vector
 from hris_sim.scenario import Scenario
 
 TABLE1_FIELD = BlockageField(density=0.3, blocker_height=1.8, blocker_diameter=0.6)
+
+
+# --- scalar reference: the per-user channel realization the stacked code
+# replaced, with its one-link helpers -------------------------------------
+
+def ref_pathloss(p, q, model, exponent):
+    dist = float(np.linalg.norm(np.asarray(p, float) - np.asarray(q, float)))
+    if dist < 1e-15:
+        raise ValueError("zero distance between link endpoints")
+    return model.gamma0 * (model.d0 / dist) ** exponent
+
+
+def ref_shadow_fraction(h_a, h_b, h_blocker):
+    hi, lo = max(h_a, h_b), min(h_a, h_b)
+    if hi == lo:
+        return 1.0 if hi < h_blocker else 0.0
+    return min(1.0, max(0.0, (h_blocker - lo) / (hi - lo)))
+
+
+def ref_los_probability(tx, rx, field):
+    tx = np.asarray(tx, float)
+    rx = np.asarray(rx, float)
+    d2d = float(np.linalg.norm(tx[:2] - rx[:2]))
+    frac = ref_shadow_fraction(tx[2], rx[2], field.blocker_height)
+    mean_blockers = field.density * field.blocker_diameter * d2d * frac
+    return float(min(1.0, np.exp(-mean_blockers)))
+
+
+def ref_array_response(arr, p, radio):
+    diff = np.asarray(p, float) - arr.center
+    dist = np.linalg.norm(diff)
+    if dist < 1e-15:
+        raise ValueError("degenerate link: endpoints coincide")
+    k = (2.0 * np.pi / radio.wavelength) * diff / dist
+    return np.exp(1j * (arr.element_offsets @ k))
+
+
+def ref_draw_los(tx, rx, field, rng):
+    if field.mode == "sampled":
+        return bool(simulate_blockage(tx, rx, field, rng, trials=1)[0])
+    return bool(rng.uniform() < ref_los_probability(tx, rx, field))
+
+
+def ref_realize_channels(scenario, rng):
+    radio = Radio(scenario.fc_hz)
+    half_wave = radio.wavelength / 2.0
+    bs = ula(scenario.bs_position, scenario.m_bs_antennas, half_wave)
+    hris = planar(scenario.hris_position, scenario.nx, scenario.nz, half_wave)
+    model = PathlossModel(scenario.gamma0, scenario.d0_m,
+                          scenario.chi_los, scenario.chi_nlos)
+    field = BlockageField(scenario.blocker_density_per_m2,
+                          scenario.blocker_height_m,
+                          scenario.blocker_diameter_m, scenario.blockage_mode)
+    k = scenario.k_users
+    lo = np.asarray(scenario.area_min, float)
+    hi = np.asarray(scenario.area_max, float)
+    ue = np.empty((k, 3))
+    ue[:, 0] = rng.uniform(lo[0], hi[0], size=k)
+    ue[:, 1] = rng.uniform(lo[1], hi[1], size=k)
+    ue[:, 2] = scenario.ue_height_m
+    b = np.asarray(scenario.bs_position, float)
+    r = np.asarray(scenario.hris_position, float)
+    los_bs_ue = np.array([ref_draw_los(b, ue[i], field, rng) for i in range(k)])
+    los_hris_ue = np.array([ref_draw_los(r, ue[i], field, rng) for i in range(k)])
+    if scenario.bs_hris_always_los:
+        los_bs_hris = True
+    else:
+        los_bs_hris = ref_draw_los(b, r, field, rng)
+
+    def chi(los):
+        return model.chi_los if los else model.chi_nlos
+
+    a_r_bs = ref_array_response(hris, b, radio)
+    a_bs_hris = ref_array_response(bs, r, radio)
+    gain_g = ref_pathloss(b, r, model, chi(los_bs_hris))
+    G = np.sqrt(gain_g) * np.outer(a_r_bs, a_bs_hris.conj())
+    h = np.empty((k, hris.n_elements), dtype=complex)
+    h_d = np.empty((k, bs.n_elements), dtype=complex)
+    for i in range(k):
+        h[i] = np.sqrt(ref_pathloss(ue[i], r, model, chi(los_hris_ue[i]))) \
+            * ref_array_response(hris, ue[i], radio)
+        h_d[i] = np.sqrt(ref_pathloss(b, ue[i], model, chi(los_bs_ue[i]))) \
+            * ref_array_response(bs, ue[i], radio)
+    return ChannelSet(G=G, h=h, h_d=h_d, los_bs_hris=los_bs_hris,
+                      los_hris_ue=los_hris_ue, los_bs_ue=los_bs_ue,
+                      ue_positions=ue, a_r_bs=a_r_bs)
+
+
+coords = st.floats(-60.0, 60.0)
+# heights include repeats and the blocker height, so equal-height links and
+# links that graze the blockers come up
+heights = st.sampled_from((0.5, 1.5, 1.8, 6.0)) | st.floats(0.0, 15.0)
+points3 = st.tuples(coords, coords, heights)
+# stacks of points: hypothesis' own picks, which favour round and repeated
+# values, or seeded uniform draws, whose last bits are as varied as a drop's
+stacks = arrays(np.float64, st.tuples(st.integers(1, 80), st.just(3)),
+                elements=st.sampled_from((0.0, 0.5, 1.5, 1.8, 6.0)) | coords) \
+    | st.builds(lambda seed, k: np.random.default_rng(seed).uniform(-60, 60, (k, 3)),
+                st.integers(0, 2 ** 32 - 1), st.integers(1, 80))
+
+
+def raises_value_error(fn, *args):
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
 
 
 class TestPathloss:
@@ -113,3 +225,106 @@ class TestRealizeChannels:
         sc = Scenario(k_users=3, blockage_mode="sampled")
         ch = realize_channels(sc, np.random.default_rng(3))
         assert ch.h.shape == (3, sc.n_hris_elements)
+
+
+class TestStackedHelpers:
+    """Stacked helpers equal their row-by-row scalar calls and the scalar
+    reference, bit for bit."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(stacks, points3, st.floats(0.01, 10.0), st.floats(0.1, 5.0),
+           arrays(np.float64, 80, elements=st.floats(0.0, 6.0)))
+    def test_pathloss(self, ps, q, gamma0, d0, exps):
+        model = PathlossModel(gamma0, d0, 0.0, 6.0)
+        exps = exps[:len(ps)]
+        if any(raises_value_error(ref_pathloss, p, q, model, e)
+               for p, e in zip(ps, exps)):
+            with pytest.raises(ValueError, match="zero distance"):
+                pathloss(ps, q, model, exps)
+            return
+        stacked = pathloss(ps, q, model, exps)
+        assert stacked.shape == (len(ps),)
+        rows = [pathloss(p, q, model, e) for p, e in zip(ps, exps)]
+        assert all(type(g) is float for g in rows)
+        assert np.array_equal(stacked, rows)
+        assert np.array_equal(stacked, [ref_pathloss(p, q, model, float(e))
+                                        for p, e in zip(ps, exps)])
+        assert np.array_equal(pathloss(q, ps, model, exps), stacked)
+
+    @settings(deadline=None, max_examples=60)
+    @given(stacks, points3, st.floats(0.0, 2.0), st.sampled_from((1.0, 1.8)),
+           st.floats(0.1, 2.0))
+    def test_los_probability(self, ps, tx, density, height, diameter):
+        field = BlockageField(density, height, diameter)
+        stacked = los_probability(tx, ps, field)
+        assert stacked.shape == (len(ps),)
+        rows = [los_probability(tx, p, field) for p in ps]
+        assert all(type(v) is float for v in rows)
+        assert np.array_equal(stacked, rows)
+        assert np.array_equal(stacked, [ref_los_probability(tx, p, field)
+                                        for p in ps])
+
+    @settings(deadline=None, max_examples=60)
+    @given(stacks, points3, st.integers(1, 12), st.integers(1, 12),
+           st.integers(1, 130))
+    def test_array_response(self, ps, center, nx, nz, m):
+        radio = Radio(28e9)
+        for arr in (planar(center, nx, nz, radio.wavelength / 2),
+                    ula(center, m, radio.wavelength / 2)):
+            if any(raises_value_error(ref_array_response, arr, p, radio)
+                   for p in ps):
+                with pytest.raises(ValueError, match="coincide"):
+                    array_response(arr, ps, radio)
+                continue
+            stacked = array_response(arr, ps, radio)
+            assert stacked.shape == (len(ps), arr.n_elements)
+            assert np.array_equal(stacked,
+                                  [array_response(arr, p, radio) for p in ps])
+            assert np.array_equal(stacked,
+                                  [ref_array_response(arr, p, radio) for p in ps])
+
+    def test_one_coinciding_row_raises(self):
+        q = np.array([1.0, 2.0, 3.0])
+        stack = np.array([[10.0, 0.0, 1.5], q, [-4.0, 7.0, 2.0]])
+        model = PathlossModel()
+        with pytest.raises(ValueError, match="zero distance"):
+            pathloss(stack, q, model, np.full(3, 2.0))
+        with pytest.raises(ValueError, match="zero distance"):
+            pathloss(q, stack, model, np.full(3, 2.0))
+        with pytest.raises(ValueError, match="coincide"):
+            wave_vector(stack, q, 0.01)
+        with pytest.raises(ValueError, match="coincide"):
+            array_response(planar(q, 4, 2, 0.005), stack, Radio(28e9))
+
+
+@settings(deadline=None, max_examples=80)
+@given(k=st.integers(1, 80), m=st.integers(1, 64), nx=st.integers(1, 10),
+       nz=st.integers(1, 10), bs=points3, hris=points3,
+       corner=st.tuples(coords, coords), size=st.tuples(st.floats(0.0, 60.0),
+                                                        st.floats(0.0, 60.0)),
+       ue_height=heights, density=st.floats(0.0, 2.0),
+       chi=st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)),
+       mode=st.sampled_from(("analytic", "sampled")), always=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_realize_channels_matches_scalar_reference(
+        k, m, nx, nz, bs, hris, corner, size, ue_height, density, chi, mode,
+        always, seed):
+    sc = Scenario(k_users=k, m_bs_antennas=m, nx=nx, nz=nz, n_sweep=(nx,),
+                  bs_position=bs, hris_position=hris, area_min=corner,
+                  area_max=(corner[0] + size[0], corner[1] + size[1]),
+                  ue_height_m=ue_height, blocker_density_per_m2=density,
+                  chi_los=min(chi), chi_nlos=max(chi), blockage_mode=mode,
+                  bs_hris_always_los=always)
+    try:
+        ref = ref_realize_channels(sc, np.random.default_rng(seed))
+    except ValueError:  # a UE or the BS on top of an array
+        with pytest.raises(ValueError):
+            realize_channels(sc, np.random.default_rng(seed))
+        return
+    got = realize_channels(sc, np.random.default_rng(seed))
+    assert type(got.los_bs_hris) is bool
+    for name in ("G", "h", "h_d", "los_bs_hris", "los_hris_ue", "los_bs_ue",
+                 "ue_positions", "a_r_bs"):
+        want, have = getattr(ref, name), getattr(got, name)
+        assert np.array_equal(want, have), name
+        assert np.asarray(want).dtype == np.asarray(have).dtype, name
