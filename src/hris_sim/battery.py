@@ -79,7 +79,7 @@ class NetEnergyDist:
         return np.asarray(self.sampler(rng, n), dtype=float)
 
 
-@dataclass
+@dataclass(eq=False)
 class BatteryChain:
     """Assembled state-of-charge chain with its transition matrix."""
 

@@ -43,7 +43,7 @@ class BlockageField:
             raise ValueError(f"unknown blockage mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelSet:
     """One realization of all links for a drop.
 

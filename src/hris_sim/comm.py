@@ -8,7 +8,7 @@ from .channel import ChannelSet
 from .hris import REFLECTION, HrisConfig
 
 
-@dataclass
+@dataclass(eq=False)
 class Precoder:
     """Frobenius-normalized regularized zero-forcing precoder."""
 
@@ -17,7 +17,7 @@ class Precoder:
     regularizer: float
 
 
-@dataclass
+@dataclass(eq=False)
 class LinkBudget:
     sinr: np.ndarray
     sum_rate: float  # bits/s/Hz

@@ -26,7 +26,7 @@ class Radio:
             raise ValueError("wavelength inconsistent with carrier frequency")
 
 
-@dataclass
+@dataclass(eq=False)
 class ArrayGeometry:
     """Element layout of one antenna array.
 

@@ -162,7 +162,7 @@ def sensed_power(config_abs: HrisConfig, incident: np.ndarray, eta: float,
     return float(_sensed_powers(config_abs.phases, incident, eta, noise_var))
 
 
-@dataclass
+@dataclass(eq=False)
 class PowerProfile:
     """Per-codeword sensed powers of one sweep and the detected peak set."""
 

@@ -221,7 +221,7 @@ def _energy_drop(args):
             diode_count(theta) + diode_count(phi_b_q))
 
 
-@dataclass
+@dataclass(eq=False)
 class BatteryStats:
     """Per-drop harvest base and diode counts at one hardware configuration."""
 

@@ -3,13 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hris_sim.battery import BatteryChain
 from hris_sim.channel import realize_channels
+from hris_sim.comm import LinkBudget, Precoder
 from hris_sim.energy import diode_count
 from hris_sim.geometry import Radio, array_response, planar
-from hris_sim.hris import (ABSORPTION, HrisConfig, build_codebook,
-                           compose_reflection, direction_unit_vector,
-                           idle_config, oracle_config, phase_grid, probe,
-                           quantize, sensed_power, steering_config)
+from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile,
+                           build_codebook, compose_reflection,
+                           direction_unit_vector, idle_config, oracle_config,
+                           phase_grid, probe, quantize, sensed_power,
+                           steering_config)
+from hris_sim.runner import BatteryStats
 from hris_sim.scenario import Scenario
 
 RADIO = Radio(28e9)
@@ -128,6 +132,22 @@ def test_configs_and_codebooks_compare_by_identity():
     assert a == a and a != b
     cb = build_codebook(HRIS, RADIO, 4, 1)
     assert cb == cb and cb != build_codebook(HRIS, RADIO, 4, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BatteryChain(2, 1.0, np.eye(2), 0),
+    lambda: realize_channels(Scenario(k_users=2), np.random.default_rng(0)),
+    lambda: Precoder(np.eye(2), 1.0, 0.1),
+    lambda: LinkBudget(np.ones(2), 2.0, np.zeros(2)),
+    lambda: planar((0.0, 0.0, 6.0), 2, 2, 0.005),
+    lambda: PowerProfile(np.ones(3), 0.5),
+    lambda: BatteryStats(np.ones(3), np.ones(3)),
+], ids=["BatteryChain", "ChannelSet", "Precoder", "LinkBudget",
+        "ArrayGeometry", "PowerProfile", "BatteryStats"])
+def test_array_holding_dataclasses_compare_by_identity(make):
+    # the generated dataclass __eq__ raised on the array fields
+    a, b = make(), make()
+    assert a == a and a != b
 
 
 class TestCodebook:
