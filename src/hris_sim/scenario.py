@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from .battery import mah_to_joules, states_for_capacity
+
 
 class ScenarioError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
@@ -204,6 +206,16 @@ class Scenario:
                 ("zeta_sweep", lambda z: 0.0 <= z <= 1.0, "in [0, 1]")):
             for value in getattr(self, name):
                 require(ok(value), f"{name} entry {value} must be {rule}")
+        # a chain needs two states, counted as the battery experiment counts
+        # them: round(C/delta) + 1 in Joules, so C = delta/2 gives one
+        delta_j = mah_to_joules(self.delta_mah, self.battery_voltage)
+        for name, values in (("capacity_mah", (self.capacity_mah,)),
+                             ("capacity_sweep_mah", self.capacity_sweep_mah)):
+            for value in values:
+                n = states_for_capacity(
+                    mah_to_joules(value, self.battery_voltage), delta_j)
+                require(n >= 2, f"{name} {value} gives {n} battery state at "
+                        f"delta_mah={self.delta_mah}; need at least 2")
 
     # --- derived SI quantities -------------------------------------------
     @property

@@ -120,6 +120,31 @@ def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
     assert not (tmp_path / "out").exists()
 
 
+# a one-state battery exited 1 with a traceback from build_chain after the
+# whole drop sweep; 10 mAh is half a step and rounds to even, to one state
+@pytest.mark.parametrize("name, bad", [("capacity_sweep_mah", [5.0]),
+                                       ("capacity_sweep_mah", [100.0, 10.0]),
+                                       ("capacity_mah", 10.0)])
+def test_one_state_capacity_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                              name, bad):
+    import hris_sim.runner as runner
+
+    def no_drop(*args):
+        raise AssertionError("a drop ran before validation")
+
+    monkeypatch.setattr(runner, "realize_channels", no_drop)
+    data = Scenario(n_drops=2, k_users=4, p_on_sweep_mw=(0.1,),
+                    battery_trace_periods=100, soc_trace_periods=10).to_dict()
+    data[name] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = cli_main(["run", "--config", str(path), "--experiment", "battery",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # both exited 1 with a TypeError traceback from the range checks
 @pytest.mark.parametrize("name, bad", [("nx", "8"), ("k_sweep", ["a"])])
 def test_wrong_field_type_is_a_config_error(tmp_path, capsys, name, bad):
