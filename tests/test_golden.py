@@ -38,6 +38,15 @@ SMALL = Scenario(n_drops=4, k_users=6, k_sweep=(4, 6), n_sweep=(16, 32),
                  q_sweep=(1, 2), p_on_sweep_mw=(0.1, 0.3, 1.0),
                  capacity_sweep_mah=(100.0, 400.0),
                  battery_trace_periods=5000, soc_trace_periods=100)
+# nine drops reach numpy's pairwise summation, which reorders at eight or
+# more terms, so a summary reduced along an axis of a 2-D array shows; the
+# sweeps and schemes are out of order, so a lost sort of K, of N and Q, or of
+# the summary groups shows too. probe-q10 sorts before probe-q2 as a name.
+UNSORTED = replace(SMALL, n_drops=9, k_sweep=(6, 4), n_sweep=(32, 16),
+                   q_sweep=(2, 10, 1),
+                   schemes=("probe-q2", "oracle-weighted", "idle", "probe-q1"),
+                   p_on_sweep_mw=(0.3, 0.1), capacity_sweep_mah=(400.0, 100.0),
+                   zeta_sweep=(0.8, 0.2))
 COVERAGE = load_scenario(resources.files("hris_sim").joinpath("data/coverage.json"))
 
 # case -> (scenario, experiment, workers)
@@ -58,6 +67,8 @@ CASES = {
                       "energy", 1),
     # the packaged 128-antenna scenario at a small drop count
     "sumrate-coverage-small": (replace(COVERAGE, n_drops=2), "sumrate", 1),
+    "sumrate-unsorted": (UNSORTED, "sumrate", 1),
+    "energy-unsorted": (UNSORTED, "energy", 1),
     # full traffic and a zero diode draw saturate the charging chains; with
     # no idle controller draw and eight-week steps the idle-mode harvest
     # lifts the low-traffic SoC trace off empty one state at a time
@@ -83,7 +94,9 @@ CASES = {
 # trace and chain assembly were vectorized; sumrate-los-drawn recorded with
 # the same versions before channel realization was stacked over the users.
 # sumrate-coverage-small was first recorded with two BLAS threads and is
-# re-recorded with one, the count every case now runs with
+# re-recorded with one, the count every case now runs with; sumrate-unsorted
+# and energy-unsorted recorded with the same versions before the report
+# sections became structured arrays
 GOLDEN = {
     "battery": {
         "battery_ploc.csv":
@@ -117,6 +130,16 @@ GOLDEN = {
         "energy_summary.csv":
             "5ed4591f71279de77b6641cf451fa630df9b6143df54121c12f351ff6d788331",
     },
+    "energy-unsorted": {
+        "battery_ploc.csv":
+            "0c5cdf5780deeeac1fb722bc191fcdc4ceee877d1abcd110cfb0aee5aac5995a",
+        "battery_soc.csv":
+            "2adcd321602615a4ca99b7278fdda5e0b1db95e200dc24272a138ece8574d0d7",
+        "energy_drops.csv":
+            "304a9eb939d6da882a7155eda50de8307551f6b0eb41b9f1e73921c01156dcac",
+        "energy_summary.csv":
+            "ac7530a88e91c32971cff1e41bdb1a334a6640f2e8773dba5b83fde98988e4ac",
+    },
     "sumrate": {
         "direct_fraction.csv":
             "f373707e038fefdc1fd523c4da5b53ecaf3c6bd2a5f1840b297f05b7d7400ff6",
@@ -148,6 +171,14 @@ GOLDEN = {
             "2b4bfebbf8766543520bed67b93e5252c83781b86c0294d3b3dd1dafbb623bdb",
         "sumrate_summary.csv":
             "48cfac23320a1f99054d5bd946103d13a532324a9c288351a63eff0fb84eeddb",
+    },
+    "sumrate-unsorted": {
+        "direct_fraction.csv":
+            "3139f0bfd993e3459348ed78093309140f9d34f275cfb751372ba22b0cad3332",
+        "sumrate_drops.csv":
+            "4bbbf014be64c9632bed99c33d51c9e4b3d6d28bfea74d4a97705e0dd37f3928",
+        "sumrate_summary.csv":
+            "8befcdd3bcef18d0cd832159b3347cc060db0fd8bc2226ff7c53e954bd367adc",
     },
     "sumrate-workers2": {
         "direct_fraction.csv":
