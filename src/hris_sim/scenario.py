@@ -128,6 +128,16 @@ class Scenario:
         for name in _SEQUENCES:
             setattr(self, name, _tuple(getattr(self, name)))
         self._check_types()
+        # an integer in a float field would print as an integer in the CSVs,
+        # so equal scenarios would write different bytes
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name in _SEQUENCES:
+                if _SEQUENCES[f.name][0] is float:
+                    setattr(self, f.name, tuple(map(float, value)))
+            elif float in (typing.get_args(f.type) or (f.type,)) \
+                    and value is not None:
+                setattr(self, f.name, float(value))
         self._validate()
 
     def _check_types(self):

@@ -91,6 +91,21 @@ def test_emit_csv_deterministic(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_equal_scenarios_write_equal_bytes(tmp_path):
+    # integers in float fields compare equal to the floats they stand for
+    ints = replace(SMALL, p_on_sweep_mw=(0, 1), capacity_sweep_mah=(100, 200),
+                   zeta_sweep=(1,), capacity_mah=400)
+    floats = replace(SMALL, p_on_sweep_mw=(0.0, 1.0),
+                     capacity_sweep_mah=(100.0, 200.0), zeta_sweep=(1.0,),
+                     capacity_mah=400.0)
+    assert ints == floats
+    out_i = emit_csv(run_battery_experiment(ints), tmp_path / "i")
+    out_f = emit_csv(run_battery_experiment(floats), tmp_path / "f")
+    assert [p.name for p in out_i] == [p.name for p in out_f]
+    for pi, pf in zip(out_i, out_f):
+        assert pi.read_bytes() == pf.read_bytes()
+
+
 def test_rerun_identical_and_worker_count_invariant(tmp_path):
     r1 = run_sumrate_experiment(SMALL)
     r2 = run_sumrate_experiment(SMALL)

@@ -173,3 +173,14 @@ def test_numpy_scalars_and_integers_for_numbers_accepted():
     sc = Scenario(nx=np.int64(8), p_dbm=20, eta=np.float64(0.8),
                   k_sweep=[np.int64(10)], probe_threshold_w=None)
     assert sc.nx == 8 and sc.k_sweep == (10,)
+
+
+def test_numbers_in_float_fields_are_stored_as_floats():
+    sc = Scenario(p_dbm=20, eta=np.float64(0.8), probe_threshold_w=0,
+                  capacity_mah=400, bs_position=(-25, 25, 6),
+                  capacity_sweep_mah=[100, 0.5e3], zeta_sweep=(1, 0.5))
+    floats = (sc.p_dbm, sc.eta, sc.probe_threshold_w, sc.capacity_mah,
+              *sc.bs_position, *sc.capacity_sweep_mah, *sc.zeta_sweep)
+    assert all(type(v) is float for v in floats)
+    assert sc.capacity_sweep_mah == (100.0, 500.0)
+    assert type(Scenario(nx=8).nx) is int
