@@ -128,15 +128,13 @@ class Scenario:
         for name in _SEQUENCES:
             setattr(self, name, _tuple(getattr(self, name)))
         self._check_types()
-        # an integer in a float field would print as an integer in the CSVs,
-        # so equal scenarios would write different bytes
+        # an integer in a float field would print as one in the CSVs, so
+        # equal scenarios would write different bytes
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.name in _SEQUENCES:
-                if _SEQUENCES[f.name][0] is float:
-                    setattr(self, f.name, tuple(map(float, value)))
-            elif float in (typing.get_args(f.type) or (f.type,)) \
-                    and value is not None:
+            if _SEQUENCES.get(f.name, (None,))[0] is float:
+                setattr(self, f.name, tuple(map(float, value)))
+            elif f.type in (float, float | None) and value is not None:
                 setattr(self, f.name, float(value))
         self._validate()
 
