@@ -11,6 +11,7 @@ import logging
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ _EXP_SUMRATE, _EXP_ENERGY, _EXP_BATTERY = 1, 2, 3
 
 _PROBE_SCHEME = re.compile(r"^probe-q(\d+)$")
 _FIXED_SCHEMES = ("idle", "oracle-equal-gain", "oracle-weighted")
+_section = partial(np.empty, 0)  # a report section with no rows
 
 
 def probe_scheme_bits(scheme: str) -> int | None:
@@ -60,36 +62,44 @@ def validate_run(scenario: Scenario, experiment: str, workers: int) -> None:
             f"drop-to-drop spread of the net power, got {scenario.n_drops}")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunReport:
-    """Row-oriented results of one experiment, one list per CSV section."""
+    """Results of one experiment, one structured array per CSV section.
 
-    sumrate_drops: list = field(default_factory=list)
-    sumrate_summary: list = field(default_factory=list)
-    direct_fraction: list = field(default_factory=list)
-    energy_drops: list = field(default_factory=list)
-    energy_summary: list = field(default_factory=list)
-    battery_ploc: list = field(default_factory=list)
-    battery_soc: list = field(default_factory=list)
+    A section's fields are its CSV columns, in order: ``len(section)`` is its
+    row count, ``section["col"]`` a column and ``row["col"]`` a cell. The
+    sections an experiment does not produce stay empty."""
+
+    sumrate_drops: np.ndarray = field(default_factory=_section)
+    sumrate_summary: np.ndarray = field(default_factory=_section)
+    direct_fraction: np.ndarray = field(default_factory=_section)
+    energy_drops: np.ndarray = field(default_factory=_section)
+    energy_summary: np.ndarray = field(default_factory=_section)
+    battery_ploc: np.ndarray = field(default_factory=_section)
+    battery_soc: np.ndarray = field(default_factory=_section)
 
 
-_SECTION_COLUMNS = {
-    "sumrate_drops": ("scheme", "k_users", "seed", "drop", "sum_rate_bps_hz"),
-    "sumrate_summary": ("scheme", "k_users", "seed", "n_drops",
-                        "mean_sum_rate_bps_hz", "ci95_halfwidth"),
-    "direct_fraction": ("scheme", "k_users", "seed", "drop", "ue",
-                        "direct_power_fraction"),
-    "energy_drops": ("scheme", "n_elements", "q_bits", "seed", "drop",
-                     "harvested_w", "consumed_w", "consumed_diodes_w"),
-    "energy_summary": ("scheme", "n_elements", "q_bits", "seed", "n_drops",
-                       "mean_harvested_w", "mean_consumed_w"),
-    "battery_ploc": ("scheme", "n_elements", "q_bits", "seed", "p_on_mw",
-                     "capacity_mah", "delta_mah", "n_states", "mu_step_j",
-                     "sigma_step_j", "ploc_theory", "ploc_empirical",
-                     "ploc_stderr", "chain_status", "n_periods"),
-    "battery_soc": ("scheme", "n_elements", "q_bits", "seed", "zeta",
-                    "capacity_mah", "period", "soc_mah"),
-}
+def _table(**columns) -> np.ndarray:
+    """Structured array with one field per keyword, in order; scalar columns
+    are broadcast over the rows."""
+    columns = {name: np.asarray(col) for name, col in columns.items()}
+    table = np.empty(np.broadcast_shapes(*(c.shape for c in columns.values())),
+                     [(name, col.dtype) for name, col in columns.items()])
+    for name, col in columns.items():
+        table[name] = col
+    return table
+
+
+def _summary(drops: np.ndarray, keys, **stats) -> np.ndarray:
+    """One row per distinct ``keys`` of ``drops``, in sorted order: the keys,
+    the row count and per ``name=(column, fn)`` the ``fn`` of the group's own
+    contiguous 1-D array of that column."""
+    groups, inverse = np.unique(drops[list(keys)], return_inverse=True)
+    members = [inverse == g for g in range(len(groups))]
+    return _table(**{key: groups[key] for key in keys},
+                  n_drops=[m.sum() for m in members],
+                  **{name: [fn(drops[col][m]) for m in members]
+                     for name, (col, fn) in stats.items()})
 
 
 def _rng(scenario: Scenario, *tags) -> np.random.Generator:
@@ -134,19 +144,15 @@ def _sumrate_drop(args):
     sc = replace(scenario, k_users=k_users)
     rng = _rng(sc, _EXP_SUMRATE, k_users, drop)
     channels = realize_channels(sc, rng)
-    rows, fracs = [], []
+    rates, fracs = [], []
     for scheme in sc.schemes:
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
         h_eff = effective_channels(channels, theta, sc.eta)
         precoder = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
         budget = evaluate(channels, theta, precoder, sc.eta, sc.noise_watts)
-        rows.append({"scheme": scheme, "k_users": k_users, "seed": sc.seed,
-                     "drop": drop, "sum_rate_bps_hz": budget.sum_rate})
-        for ue, frac in enumerate(budget.direct_power_fraction):
-            fracs.append({"scheme": scheme, "k_users": k_users, "seed": sc.seed,
-                          "drop": drop, "ue": ue,
-                          "direct_power_fraction": float(frac)})
-    return k_users, drop, rows, fracs
+        rates.append(budget.sum_rate)
+        fracs.append(budget.direct_power_fraction)
+    return k_users, drop, np.array(rates), np.reshape(fracs, (-1, k_users))
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -154,18 +160,6 @@ def _map_tasks(fn, tasks, workers: int):
         return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-
-
-def _summaries(rows, group_keys, value_keys):
-    """Group ``rows`` by ``group_keys`` in one pass; yields, in key order, the
-    group keys with the drop count and one array per value column."""
-    groups = {}
-    for row in rows:
-        groups.setdefault(tuple(row[k] for k in group_keys), []).append(row)
-    for key in sorted(groups):
-        members = groups[key]
-        yield (dict(zip(group_keys, key)) | {"n_drops": len(members)},
-               [np.array([row[v] for row in members]) for v in value_keys])
 
 
 def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
@@ -178,18 +172,28 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
              scenario.n_drops, len(scenario.k_sweep))
     results = sorted(_map_tasks(_sumrate_drop, tasks, workers),
                      key=lambda r: (r[0], r[1]))
-    report = RunReport()
-    for _, _, rows, fracs in results:
-        report.sumrate_drops.extend(rows)
-        report.direct_fraction.extend(fracs)
-    for group, (rates,) in _summaries(report.sumrate_drops,
-                                      ("scheme", "k_users", "seed"),
-                                      ("sum_rate_bps_hz",)):
-        report.sumrate_summary.append(group | {
-            "mean_sum_rate_bps_hz": float(rates.mean()),
-            "ci95_halfwidth": float(1.96 * rates.std(ddof=1) / np.sqrt(rates.size))
-            if rates.size > 1 else 0.0})
-    return report
+    if not (results and scenario.schemes):  # an empty sweep gives no rows
+        return RunReport()
+    k_users, drop, rates, fracs = zip(*results)
+    n_schemes = len(scenario.schemes)
+    drops = _table(scheme=np.tile(scenario.schemes, len(results)),
+                   k_users=np.repeat(k_users, n_schemes), seed=scenario.seed,
+                   drop=np.repeat(drop, n_schemes),
+                   sum_rate_bps_hz=np.concatenate(rates))
+    # one row per user of each drops row, in user order
+    n_ues = drops["k_users"]
+    direct = _table(**{c: np.repeat(drops[c], n_ues) for c in
+                       ("scheme", "k_users", "seed", "drop")},
+                    ue=np.concatenate([np.arange(k) for k in n_ues]),
+                    direct_power_fraction=np.concatenate(fracs, axis=None))
+    return RunReport(
+        sumrate_drops=drops, direct_fraction=direct,
+        sumrate_summary=_summary(
+            drops, ("scheme", "k_users", "seed"),
+            mean_sum_rate_bps_hz=("sum_rate_bps_hz", np.mean),
+            # normal-approximation 95% interval over the drops
+            ci95_halfwidth=("sum_rate_bps_hz", lambda r: 1.96 * r.std(ddof=1)
+                            / np.sqrt(r.size) if r.size > 1 else 0.0)))
 
 
 # --- energy and battery ---------------------------------------------------
@@ -248,32 +252,30 @@ def run_energy_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     """Harvested/consumed power over the N and Q sweeps, plus the battery
     analysis of :func:`run_battery_experiment`."""
     validate_run(scenario, "energy", workers)
-    report = RunReport()
-    for n_elements in scenario.n_sweep:
-        for q_bits in scenario.q_sweep:
-            stats = battery_drop_stats(
-                replace(scenario, nz=n_elements // scenario.nx, q_bits=q_bits),
-                workers)
-            power = frame_power(stats.harvest_base_w, stats.diode_count,
-                                scenario.traffic, scenario.p_on_watts,
-                                scenario.controller_run_w)
-            for drop, (harvested, consumed, diodes) in enumerate(zip(
-                    power.harvested.tolist(), power.consumed.tolist(),
-                    power.diodes.tolist())):
-                report.energy_drops.append({
-                    "scheme": f"probe-q{q_bits}", "n_elements": n_elements,
-                    "q_bits": q_bits, "seed": scenario.seed, "drop": drop,
-                    "harvested_w": harvested, "consumed_w": consumed,
-                    "consumed_diodes_w": diodes})
-    for group, (harvested, consumed) in _summaries(
-            report.energy_drops, ("scheme", "n_elements", "q_bits", "seed"),
-            ("harvested_w", "consumed_w")):
-        report.energy_summary.append(group | {
-            "mean_harvested_w": float(harvested.mean()),
-            "mean_consumed_w": float(consumed.mean())})
-    battery_report = run_battery_experiment(scenario, workers=workers)
-    report.battery_ploc = battery_report.battery_ploc
-    report.battery_soc = battery_report.battery_soc
+    points = [(n, q) for n in scenario.n_sweep for q in scenario.q_sweep]
+    stats = [battery_drop_stats(replace(scenario, nz=n // scenario.nx,
+                                        q_bits=q), workers)
+             for n, q in points]
+    power = frame_power(np.ravel([s.harvest_base_w for s in stats]),
+                        np.ravel([s.diode_count for s in stats]),
+                        scenario.traffic, scenario.p_on_watts,
+                        scenario.controller_run_w)
+    n_col, q_col = np.repeat(np.reshape(points, (-1, 2)), scenario.n_drops,
+                             axis=0).T
+    drops = _table(
+        scheme=[f"probe-q{q}" for q in q_col], n_elements=n_col, q_bits=q_col,
+        seed=scenario.seed, drop=np.arange(len(n_col)) % scenario.n_drops,
+        harvested_w=power.harvested, consumed_w=power.consumed,
+        consumed_diodes_w=power.diodes)
+    # the scenario's own surface, when swept, has its drops computed already
+    own = dict(zip(points, stats)).get((scenario.n_hris_elements,
+                                        scenario.q_bits))
+    report = run_battery_experiment(scenario, workers, stats=own)
+    report.energy_drops = drops
+    report.energy_summary = _summary(
+        drops, ("scheme", "n_elements", "q_bits", "seed"),
+        mean_harvested_w=("harvested_w", np.mean),
+        mean_consumed_w=("consumed_w", np.mean))
     return report
 
 
@@ -290,14 +292,6 @@ def step_dist(mean_power_w: float, std_power_w: float, step_s: float,
     return bat.NetEnergyDist.gaussian(mean_power_w * step_s, sigma)
 
 
-def _theory_ploc(dist, n_states, delta_j, gamma, n_periods):
-    """Theoretical p_LoC, its standard error and the chain status."""
-    chain = bat.build_chain(dist, n_states, delta_j, gamma)
-    ploc, status = bat.resolve_loss_of_charge(chain, dist)
-    stderr = bat.ploc_standard_error(chain, n_periods) if status == "ok" else 0.0
-    return ploc, stderr, status
-
-
 def run_battery_experiment(scenario: Scenario, workers: int = 1,
                            stats: BatteryStats | None = None) -> RunReport:
     """Loss-of-charge probability over the capacity and per-diode-power grids
@@ -305,35 +299,43 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
     validate_run(scenario, "battery", workers)
     if stats is None:
         stats = battery_drop_stats(scenario, workers)
-    report = RunReport()
-    scheme = f"probe-q{scenario.q_bits}"
     delta_j = bat.mah_to_joules(scenario.delta_mah, scenario.battery_voltage)
     step_s = scenario.mc_step_s
     n_periods = scenario.battery_trace_periods
     nu = idle_harvest_fraction(scenario.nx, scenario.nz)
-    provenance = {"scheme": scheme, "n_elements": scenario.n_hris_elements,
+    provenance = {"scheme": f"probe-q{scenario.q_bits}",
+                  "n_elements": scenario.n_hris_elements,
                   "q_bits": scenario.q_bits, "seed": scenario.seed}
 
+    # theory and trace per (p_on, capacity) grid point, p_on-major
+    caps_j = [bat.mah_to_joules(c, scenario.battery_voltage)
+              for c in scenario.capacity_sweep_mah]
+    n_states = [bat.states_for_capacity(c, delta_j) for c in caps_j]
+    dists, cells = [], []
     for i_p, p_on_mw in enumerate(scenario.p_on_sweep_mw):
         net = stats.net_power(scenario.traffic, p_on_mw * 1e-3,
                               scenario.controller_run_w)
         dist = step_dist(net.mean(), net.std(ddof=1), step_s, delta_j)
-        for i_c, cap_mah in enumerate(scenario.capacity_sweep_mah):
-            cap_j = bat.mah_to_joules(cap_mah, scenario.battery_voltage)
-            n_states = bat.states_for_capacity(cap_j, delta_j)
-            ploc_t, stderr, status = _theory_ploc(
-                dist, n_states, delta_j, scenario.guard_fraction, n_periods)
+        dists.append(dist)
+        for i_c, (cap_j, n) in enumerate(zip(caps_j, n_states)):
+            chain = bat.build_chain(dist, n, delta_j, scenario.guard_fraction)
+            ploc_t, status = bat.resolve_loss_of_charge(chain, dist)
+            stderr = (bat.ploc_standard_error(chain, n_periods)
+                      if status == "ok" else 0.0)
             rng = _rng(scenario, _EXP_BATTERY, i_p, i_c)
             ploc_e, _ = bat.simulate_trace(
                 dist, cap_j, delta_j, scenario.guard_fraction, n_periods, rng,
                 burn_in=n_periods // 100)
-            report.battery_ploc.append(provenance | {
-                "p_on_mw": p_on_mw, "capacity_mah": cap_mah,
-                "delta_mah": scenario.delta_mah, "n_states": n_states,
-                "mu_step_j": float(dist.mean), "sigma_step_j": float(dist.std),
-                "ploc_theory": ploc_t, "ploc_empirical": ploc_e,
-                "ploc_stderr": stderr, "chain_status": status,
-                "n_periods": n_periods})
+            cells.append((ploc_t, ploc_e, stderr, status))
+    ploc_t, ploc_e, stderr, status = zip(*cells) if cells else ((),) * 4
+    ploc = _table(
+        **provenance, p_on_mw=np.repeat(scenario.p_on_sweep_mw, len(caps_j)),
+        capacity_mah=np.tile(scenario.capacity_sweep_mah, len(dists)),
+        delta_mah=scenario.delta_mah, n_states=np.tile(n_states, len(dists)),
+        mu_step_j=np.repeat([d.mean for d in dists], len(caps_j)),
+        sigma_step_j=np.repeat([d.std for d in dists], len(caps_j)),
+        ploc_theory=ploc_t, ploc_empirical=ploc_e, ploc_stderr=stderr,
+        chain_status=status, n_periods=n_periods)
 
     # example state-of-charge trajectories across traffic intensities,
     # with the idle-mode fallback active below the guard threshold
@@ -341,6 +343,8 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
     harvest_std = stats.harvest_base_w.std(ddof=1)
     diodes_mean = stats.diode_count.mean()
     cap_j = bat.mah_to_joules(scenario.capacity_mah, scenario.battery_voltage)
+    n_soc = scenario.soc_trace_periods
+    socs = []
     for i_z, zeta in enumerate(scenario.zeta_sweep):
         active_w = frame_power(harvest_mean, diodes_mean, zeta,
                                scenario.p_on_watts, scenario.controller_run_w).net
@@ -350,48 +354,35 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
         idle = step_dist(idle_w, nu * zeta * harvest_std, step_s, delta_j)
         rng = _rng(scenario, _EXP_BATTERY, 1000 + i_z)
         _, soc = bat.simulate_trace(active, cap_j, delta_j,
-                                    scenario.guard_fraction,
-                                    scenario.soc_trace_periods, rng,
+                                    scenario.guard_fraction, n_soc, rng,
                                     idle_source=idle, initial_soc=0.5 * cap_j)
-        for period, soc_j in enumerate(soc):
-            report.battery_soc.append(provenance | {
-                "zeta": zeta, "capacity_mah": scenario.capacity_mah,
-                "period": period,
-                "soc_mah": bat.joules_to_mah(float(soc_j),
-                                             scenario.battery_voltage)})
-    return report
+        socs.append(soc)
+    soc = _table(
+        **provenance, zeta=np.repeat(scenario.zeta_sweep, n_soc),
+        capacity_mah=scenario.capacity_mah,
+        period=np.tile(np.arange(n_soc), len(socs)),
+        soc_mah=bat.joules_to_mah(np.ravel(socs), scenario.battery_voltage))
+    return RunReport(battery_ploc=ploc, battery_soc=soc)
 
 
 # --- CSV emission -----------------------------------------------------------
 
-def _format_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def emit_csv(report: RunReport, out_dir) -> list:
     """Write every populated report section as <section>.csv; returns paths.
 
-    Output is byte-deterministic for a fixed report: fixed column order,
-    shortest-round-trip float formatting, and "\\n" newlines.
+    Output is byte-deterministic for a fixed report: the section's column
+    order, shortest-round-trip float formatting, and "\\n" newlines.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for section, columns in _SECTION_COLUMNS.items():
-        rows = getattr(report, section)
-        if not rows:
+    for section, table in vars(report).items():
+        if not len(table):
             continue
         path = out_dir / f"{section}.csv"
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_format_cell(row[c]) for c in columns])
+            writer.writerow(table.dtype.names)
+            writer.writerows(zip(*(table[c].tolist() for c in table.dtype.names)))
         written.append(path)
     return written

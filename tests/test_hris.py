@@ -13,7 +13,7 @@ from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile,
                            direction_unit_vector, idle_config, oracle_config,
                            phase_grid, probe, quantize, sensed_power,
                            steering_config)
-from hris_sim.runner import BatteryStats
+from hris_sim.runner import BatteryStats, RunReport
 from hris_sim.scenario import Scenario
 
 RADIO = Radio(28e9)
@@ -142,8 +142,9 @@ def test_configs_and_codebooks_compare_by_identity():
     lambda: planar((0.0, 0.0, 6.0), 2, 2, 0.005),
     lambda: PowerProfile(np.ones(3), 0.5),
     lambda: BatteryStats(np.ones(3), np.ones(3)),
+    lambda: RunReport(sumrate_drops=np.ones(3)),
 ], ids=["BatteryChain", "ChannelSet", "Precoder", "LinkBudget",
-        "ArrayGeometry", "PowerProfile", "BatteryStats"])
+        "ArrayGeometry", "PowerProfile", "BatteryStats", "RunReport"])
 def test_array_holding_dataclasses_compare_by_identity(make):
     # the generated dataclass __eq__ raised on the array fields
     a, b = make(), make()

@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from hris_sim.cli import main as cli_main
-from hris_sim.runner import (emit_csv, run_battery_experiment,
+from hris_sim.runner import (RunReport, emit_csv, run_battery_experiment,
                              run_energy_experiment, run_sumrate_experiment,
                              validate_schemes)
 from hris_sim.scenario import Scenario, ScenarioError
@@ -25,7 +26,8 @@ def test_sumrate_report_shape_and_provenance():
     report = run_sumrate_experiment(SMALL)
     assert len(report.sumrate_drops) == len(SMALL.k_sweep) * SMALL.n_drops * 3
     for row in report.sumrate_drops:
-        assert set(row) == {"scheme", "k_users", "seed", "drop", "sum_rate_bps_hz"}
+        assert set(row.dtype.names) == {"scheme", "k_users", "seed", "drop",
+                                       "sum_rate_bps_hz"}
         assert row["seed"] == SMALL.seed
     ks = {r["k_users"] for r in report.sumrate_summary}
     assert ks == set(SMALL.k_sweep)
@@ -56,7 +58,61 @@ def test_energy_report_monotone_in_n_and_q():
                 for r in report.energy_summary}
     assert consumed[(32, 2)] > consumed[(32, 1)]
     assert consumed[(16, 2)] > consumed[(16, 1)]
-    assert report.battery_ploc  # battery sections piggyback on the energy run
+    assert len(report.battery_ploc)  # battery sections piggyback on the energy run
+
+
+def test_energy_run_reuses_the_drops_of_its_own_surface(monkeypatch):
+    import hris_sim.runner as runner
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return realize_channels(*args)
+
+    realize_channels = runner.realize_channels
+    monkeypatch.setattr(runner, "realize_channels", counted)
+    energy = run_energy_experiment(SMALL)
+    # SMALL's own 8x4 surface at q_bits=2 is a point of its N/Q sweep
+    assert len(calls) == len(SMALL.n_sweep) * len(SMALL.q_sweep) * SMALL.n_drops
+    battery = run_battery_experiment(SMALL)
+    for section in ("battery_ploc", "battery_soc"):
+        assert np.array_equal(getattr(energy, section),
+                              getattr(battery, section))
+
+
+@pytest.mark.parametrize("run", [run_sumrate_experiment, run_energy_experiment,
+                                 run_battery_experiment],
+                         ids=["sumrate", "energy", "battery"])
+def test_sections_are_arrays_with_one_row_per_csv_line(tmp_path, run):
+    report = run(SMALL)
+    emit_csv(report, tmp_path)
+    assert list(vars(report)) == [f.name for f in fields(RunReport)]
+    for name, section in vars(report).items():
+        assert isinstance(section, np.ndarray) and section.ndim == 1, name
+        path = tmp_path / f"{name}.csv"
+        if not len(section):
+            assert not path.exists(), name
+            continue
+        header, *lines = path.read_text().splitlines()
+        assert header.split(",") == list(section.dtype.names)
+        assert len(section) == len(lines), name
+
+
+@pytest.mark.parametrize("run, sweep", [
+    (run_sumrate_experiment, "k_sweep"), (run_sumrate_experiment, "schemes"),
+    (run_energy_experiment, "n_sweep"), (run_battery_experiment, "zeta_sweep"),
+    (run_battery_experiment, "capacity_sweep_mah")])
+def test_an_empty_sweep_gives_empty_sections(tmp_path, run, sweep):
+    report = run(replace(SMALL, **{sweep: ()}))
+    written = {p.stem for p in emit_csv(report, tmp_path)}
+    assert written == {name for name, section in vars(report).items()
+                       if len(section)}
+    assert written.isdisjoint({
+        "k_sweep": {"sumrate_drops", "sumrate_summary", "direct_fraction"},
+        "schemes": {"sumrate_drops", "sumrate_summary", "direct_fraction"},
+        "n_sweep": {"energy_drops", "energy_summary"},
+        "zeta_sweep": {"battery_soc"},
+        "capacity_sweep_mah": {"battery_ploc"}}[sweep])
 
 
 def test_battery_report_contents():
@@ -110,7 +166,8 @@ def test_rerun_identical_and_worker_count_invariant(tmp_path):
     r1 = run_sumrate_experiment(SMALL)
     r2 = run_sumrate_experiment(SMALL)
     r3 = run_sumrate_experiment(SMALL, workers=2)
-    assert r1.sumrate_drops == r2.sumrate_drops == r3.sumrate_drops
+    assert np.array_equal(r1.sumrate_drops, r2.sumrate_drops)
+    assert np.array_equal(r1.sumrate_drops, r3.sumrate_drops)
 
 
 def test_cli_run_and_config_error(tmp_path):
