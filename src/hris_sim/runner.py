@@ -140,9 +140,8 @@ def _probe_codebooks(scenario: Scenario):
 
 
 def _sumrate_drop(args):
-    scenario, codebooks, k_users, drop = args
-    sc = replace(scenario, k_users=k_users)
-    rng = _rng(sc, _EXP_SUMRATE, k_users, drop)
+    sc, codebooks, drop = args
+    rng = _rng(sc, _EXP_SUMRATE, sc.k_users, drop)
     channels = realize_channels(sc, rng)
     rates, fracs = [], []
     for scheme in sc.schemes:
@@ -152,7 +151,7 @@ def _sumrate_drop(args):
         budget = evaluate(channels, theta, precoder, sc.eta, sc.noise_watts)
         rates.append(budget.sum_rate)
         fracs.append(budget.direct_power_fraction)
-    return k_users, drop, np.array(rates), np.reshape(fracs, (-1, k_users))
+    return sc.k_users, drop, np.array(rates), np.reshape(fracs, (-1, sc.k_users))
 
 
 def _map_tasks(fn, tasks, workers: int):
@@ -166,8 +165,9 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     """Average sum-rate per scheme over the K sweep, with per-drop provenance."""
     validate_run(scenario, "sumrate", workers)
     codebooks = _probe_codebooks(scenario)
-    tasks = [(scenario, codebooks, k, d) for k in scenario.k_sweep
-             for d in range(scenario.n_drops)]
+    # one scenario per K, not per drop: each one is validated on creation
+    per_k = [replace(scenario, k_users=k) for k in scenario.k_sweep]
+    tasks = [(sc, codebooks, d) for sc in per_k for d in range(scenario.n_drops)]
     log.info("sum-rate experiment: %d drops x %d K values",
              scenario.n_drops, len(scenario.k_sweep))
     results = sorted(_map_tasks(_sumrate_drop, tasks, workers),
