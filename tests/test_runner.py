@@ -2,11 +2,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hris_sim.cli import main as cli_main
-from hris_sim.runner import (RunReport, emit_csv, run_battery_experiment,
-                             run_energy_experiment, run_sumrate_experiment,
-                             validate_schemes)
+from hris_sim.runner import (RunReport, _summary, _table, emit_csv,
+                             run_battery_experiment, run_energy_experiment,
+                             run_sumrate_experiment, validate_schemes)
 from hris_sim.scenario import Scenario, ScenarioError
 
 SMALL = Scenario(n_drops=5, k_users=8, k_sweep=(4, 8), n_sweep=(16, 32),
@@ -241,3 +243,73 @@ def test_cli_init_config_roundtrip(tmp_path):
     assert cli_main(["init-config", "--out", str(path)]) == 0
     from hris_sim.scenario import load_scenario
     assert load_scenario(path) == Scenario()
+
+
+# --- the row-dict reports the sections replaced, kept as the reference -----
+
+def _dict_format_cell(value):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _dict_summaries(rows, group_keys, value_keys):
+    groups = {}
+    for row in rows:
+        groups.setdefault(tuple(row[k] for k in group_keys), []).append(row)
+    for key in sorted(groups):
+        members = groups[key]
+        yield (dict(zip(group_keys, key)) | {"n_drops": len(members)},
+               [np.array([row[v] for row in members]) for v in value_keys])
+
+
+_DROP_ROWS = st.lists(st.tuples(
+    st.sampled_from(["probe-q2", "idle", "probe-q10", "oracle-weighted"]),
+    st.sampled_from([6, 4, 75]), st.integers(0, 2**40),
+    st.floats(-1e12, 1e12),
+    st.floats(-1e3, 1e3)), max_size=40)
+
+
+def _drop_table(rows):
+    columns = ("scheme", "k_users", "seed", "rate", "power")
+    table = _table(**{c: [r[i] for r in rows] for i, c in enumerate(columns)})
+    return table, [dict(zip(columns, r)) for r in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DROP_ROWS)
+def test_summary_equals_the_row_dict_grouping(rows):
+    table, dicts = _drop_table(rows)
+    summary = _summary(table, ("scheme", "k_users"),
+                       mean_rate=("rate", np.mean),
+                       spread=("power", lambda v: v.std()))
+    expected = [group | {"mean_rate": float(rate.mean()),
+                         "spread": float(power.std())}
+                for group, (rate, power) in _dict_summaries(
+                    dicts, ("scheme", "k_users"), ("rate", "power"))]
+    assert len(summary) == len(expected)
+    for row, want in zip(summary, expected):
+        assert list(row.dtype.names) == list(want)
+        got = row.tolist()
+        assert got[:3] == tuple(want.values())[:3]
+        # the same values reduced in the same order give the same floats
+        assert np.array_equal(got[3:], list(want.values())[3:],
+                              equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DROP_ROWS)
+def test_emitted_bytes_equal_the_per_cell_formatter(tmp_path_factory, rows):
+    table, dicts = _drop_table(rows)
+    out = tmp_path_factory.mktemp("csv")
+    written = emit_csv(RunReport(sumrate_drops=table), out)
+    expected = "".join(",".join(_dict_format_cell(row[c]) for c in row) + "\n"
+                       for row in dicts)
+    if not rows:
+        assert written == []
+        return
+    header = "scheme,k_users,seed,rate,power\n"
+    assert [p.name for p in written] == ["sumrate_drops.csv"]
+    assert written[0].read_text() == header + expected
