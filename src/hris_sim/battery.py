@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.stats import norm
+from scipy.special import ndtr
 
 
 class ReducibleChainError(ValueError):
@@ -70,7 +68,7 @@ class NetEnergyDist:
     @classmethod
     def gaussian(cls, mean: float, std: float) -> "NetEnergyDist":
         return cls(mean=mean, std=std,
-                   cdf=lambda x: norm.cdf(x, loc=mean, scale=std),
+                   cdf=lambda x: ndtr((x - mean) / std),
                    sampler=lambda rng, n: rng.normal(mean, std, size=n))
 
     def sample(self, rng, n: int) -> np.ndarray:
@@ -130,17 +128,28 @@ def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
     return BatteryChain(n_states=s, step=delta, psi=psi, guard_state=guard)
 
 
+def _reaches_all(adj: np.ndarray) -> bool:
+    """Whether state 0 reaches every state along the edges of adj."""
+    seen = frontier = np.arange(len(adj)) == 0
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
+
+
 def _closed_classes(psi: np.ndarray):
-    """Strongly-connected components with no outgoing edges."""
-    adj = sparse.csr_matrix(psi > 0)
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    closed = []
-    for comp in range(n_comp):
-        members = np.flatnonzero(labels == comp)
-        outside = np.setdiff1d(np.arange(psi.shape[0]), members)
-        if outside.size == 0 or not np.any(psi[np.ix_(members, outside)] > 0):
-            closed.append(members.tolist())
-    return n_comp, closed
+    """Communicating-class count and the closed classes, by smallest state."""
+    s = len(psi)
+    reach = (psi > 0) | np.eye(s, dtype=bool)
+    if _reaches_all(reach) and _reaches_all(reach.T):
+        return 1, [list(range(s))]
+    for k in range(s):  # Warshall closure
+        reach |= reach[:, k, None] & reach[k]
+    labels = np.argmax(reach & reach.T, axis=1)  # smallest state of the class
+    leaks = np.any(reach & ~reach.T, axis=1)  # reaches a state not reaching back
+    roots = np.flatnonzero(labels == np.arange(s))
+    return roots.size, [np.flatnonzero(labels == r).tolist()
+                        for r in roots if not leaks[r]]
 
 
 def stationary(chain: BatteryChain, residual_tol: float = 1e-10) -> np.ndarray:

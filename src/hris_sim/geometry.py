@@ -7,7 +7,8 @@ is a planar array in the x-z plane with broadside along +y.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C0
+
+C0 = 299792458.0  # speed of light in vacuum, m/s (exact by SI definition)
 
 
 @dataclass

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy import linalg
+from scipy import linalg, sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.stats import norm
 
 from hris_sim.battery import (BatteryChain, NetEnergyDist, ReducibleChainError,
-                              build_chain, loss_of_charge, mah_to_joules,
+                              _closed_classes, build_chain, loss_of_charge,
+                              mah_to_joules,
                               ploc_standard_error, simulate_trace, size_battery,
                               states_for_capacity, stationary,
                               stationary_power_iteration)
@@ -253,6 +256,33 @@ def scalar_trace(source, capacity, delta, gamma, n_periods, initial_soc=None,
     return ploc, states.astype(float) * delta
 
 
+def closed_classes_reference(psi):
+    """Closed classes from scipy's strongly connected components: the
+    reference for _closed_classes."""
+    adj = sparse.csr_matrix(psi > 0)
+    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    closed = []
+    for comp in range(n_comp):
+        members = np.flatnonzero(labels == comp)
+        outside = np.setdiff1d(np.arange(psi.shape[0]), members)
+        if outside.size == 0 or not np.any(psi[np.ix_(members, outside)] > 0):
+            closed.append(members.tolist())
+    return n_comp, closed
+
+
+def assert_closed_classes_match_reference(psi):
+    n_comp, closed = _closed_classes(psi)
+    want_n, want_closed = closed_classes_reference(psi)
+    assert n_comp == want_n
+    assert sorted(closed) == sorted(want_closed)
+    if n_comp > 1:
+        chain = BatteryChain(n_states=len(psi), step=1.0, psi=psi, guard_state=0)
+        with pytest.raises(ReducibleChainError) as err:
+            stationary(chain)
+        detail = "; ".join(str(c) for c in sorted(want_closed))  # by smallest state
+        assert str(err.value) == f"reducible chain: closed class(es) {detail}"
+
+
 class TestVectorizedAgainstScalar:
     @settings(deadline=None, max_examples=150)
     @given(st.floats(-50.0, 50.0), st.floats(1e-3, 50.0), st.integers(2, 80),
@@ -300,6 +330,43 @@ class TestVectorizedAgainstScalar:
         want = scalar_trace(energies, 60.0, 5.0, 0.1, n, burn_in=1000)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
+
+
+class TestAgainstScipyReference:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(1, 60),
+           st.one_of(st.sampled_from((0.0, 0.01, 0.05, 1.0)), st.floats(0.0, 1.0)),
+           st.integers(0, 2 ** 32 - 1))
+    @example(s=1, density=0.0, seed=0)  # one state, no self-loop
+    def test_closed_classes_of_random_matrices(self, s, density, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.uniform(size=(s, s)) * (rng.uniform(size=(s, s)) < density)
+        assert_closed_classes_match_reference(psi)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(2, 60), st.sampled_from((-1.0, 1.0)), st.floats(0.0, 60.0),
+           st.floats(1e-3, 10.0), st.floats(0.1, 10.0))
+    def test_closed_classes_of_chains_up_to_saturated_drift(self, s, sign, sigmas,
+                                                            std, delta):
+        # past about 8 std of drift one tail of the CDF rounds away
+        dist = NetEnergyDist.gaussian(sign * sigmas * std, std)
+        assert_closed_classes_match_reference(build_chain(dist, s, delta, 0.1).psi)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from((-1.0, 1.0)), st.floats(-6.0, 3.0), st.floats(-9.0, 3.0),
+           arrays(np.float64, st.integers(0, 40), elements=st.floats(-40.0, 40.0)),
+           arrays(np.float64, st.integers(0, 10), elements=st.floats(-1e4, 1e4)),
+           st.floats(-40.0, 40.0))
+    def test_gaussian_cdf_equals_norm_cdf(self, sign, log_mean, log_std, z, wide,
+                                          z0):
+        mean, std = sign * 10.0 ** log_mean, 10.0 ** log_std
+        cdf = NetEnergyDist.gaussian(mean, std).cdf
+        x = np.concatenate(([-np.inf, np.inf], mean + std * z, wide))
+        assert np.array_equal(cdf(x), norm.cdf(x, loc=mean, scale=std))
+        x0 = mean + std * z0
+        got = cdf(x0)
+        assert np.ndim(got) == 0
+        assert np.array_equal(got, norm.cdf(x0, loc=mean, scale=std))
 
 
 class TestStandardError:

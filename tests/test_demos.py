@@ -1,7 +1,4 @@
-"""Smoke test: the demos run to the end against the current library.
-
-Demo 03 is left out; its sum-rate comparison takes about half a minute.
-"""
+"""Smoke test: the demos run to the end against the current library."""
 
 import os
 import subprocess
@@ -12,7 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_geometry_and_channels.py", "02_probing_and_reflection.py",
-         "04_energy_and_battery.py")
+         "03_sumrate_comparison.py", "04_energy_and_battery.py")
 
 
 @pytest.mark.parametrize("demo", DEMOS)
