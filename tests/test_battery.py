@@ -9,9 +9,8 @@ from scipy.stats import norm
 
 from hris_sim.battery import (BatteryChain, NetEnergyDist, ReducibleChainError,
                               _closed_classes, build_chain, loss_of_charge,
-                              mah_to_joules,
-                              ploc_standard_error, simulate_trace, size_battery,
-                              states_for_capacity, stationary,
+                              mah_to_joules, ploc_standard_error, simulate_trace,
+                              size_battery, states_for_capacity, stationary,
                               stationary_power_iteration)
 
 
