@@ -13,9 +13,11 @@ Loss of charge is the stationary mass at or below the guard state. A trace
 simulator of the same quantized process provides the empirical counterpart.
 """
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -241,30 +243,39 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
                  gamma: float, s_max: int = 200) -> BatterySizing | None:
     """Smallest capacity (S-1)*delta on the grid meeting the target p_LoC.
 
-    Scans S = 2..s_max for every delta. Saturated-drift chains are resolved
-    by :func:`resolve_loss_of_charge`. Returns None when no grid point
-    qualifies.
+    p_LoC can rise with S only where the guard state floor(gamma*(S-1))
+    steps up. So for each delta the search tests the last S of each run of
+    equal guard in turn, and bisects within the first run whose last S meets
+    the target. Saturated-drift chains are resolved by
+    :func:`resolve_loss_of_charge`. Returns None when no grid point qualifies.
     """
     delta_grid = list(delta_grid)
     if not delta_grid:
         raise ValueError("empty delta grid")
     if not 0.0 < target_ploc < 1.0:
         raise ValueError("target p_LoC must lie in (0, 1)")
-    best = None
+
+    def meets(s, delta):
+        chain = build_chain(dist, s, delta, gamma)
+        return resolve_loss_of_charge(chain, dist)[0] <= target_ploc
+
+    run_ends = [s for s in range(2, s_max + 1) if s == s_max
+                or math.floor(gamma * s) > math.floor(gamma * (s - 1))]
+    found = []
     for delta in delta_grid:
-        for s in range(2, s_max + 1):
-            ploc, _ = resolve_loss_of_charge(build_chain(dist, s, delta, gamma),
-                                             dist)
-            if ploc <= target_ploc:
-                candidate = BatterySizing(s, float(delta), float((s - 1) * delta))
-                if best is None or (candidate.capacity, candidate.delta) \
-                        < (best.capacity, best.delta):
-                    best = candidate
-                break  # larger S at this delta only grows the capacity
-    return best
+        first = 2
+        for last in run_ends:
+            if meets(last, delta):
+                s = first + bisect.bisect_left(range(first, last), True,
+                                               key=lambda s: meets(s, delta))
+                found.append(BatterySizing(s, float(delta), float((s - 1) * delta)))
+                break
+            first = last + 1
+    return min(found, key=lambda c: (c.capacity, c.delta), default=None)
 
 
 def _per_period_steps(source, delta: float, n_periods: int, rng) -> np.ndarray:
+    """floor(dE / delta) per period, as floats."""
     if isinstance(source, NetEnergyDist):
         values = source.sample(rng, n_periods)
     else:
@@ -273,51 +284,65 @@ def _per_period_steps(source, delta: float, n_periods: int, rng) -> np.ndarray:
             raise ValueError("energy stream shorter than the requested trace")
         values = values[:n_periods]
     quotient = values / delta
-    return np.floor(quotient, out=quotient).astype(np.int64)
+    return np.floor(quotient, out=quotient)
 
 
-def _clamped_walk(steps: np.ndarray, start: int, top: int,
-                  states: np.ndarray) -> None:
-    """Fill ``states`` with the walk x -> min(max(x + step, 0), top) from
-    ``start``, exactly, by a blocked scan over composed clamp maps.
+_BLOCK = 16  # maps per block of the scan
 
-    The steps of one block of b periods compose into the map
-    x -> min(max(x + a, lo), hi), where a is the block's step sum and lo and
-    hi are the block's walk from 0 and from top. Both walks run for all
-    blocks at once, one vector update per position in the block; a scalar
-    pass then carries the start state across the blocks, and a second vector
-    sweep replays every block from its start. Steps are clipped to
-    [-top, top] in place first: no state changes, and no int64 sum can wrap
-    around, since each state update stays within [-top, 2*top] and each
-    block sum within b*top.
+
+def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
+                  top: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the walk x -> min(max(x + steps[t], lo[t]), hi[t])
+    from ``start``, exactly, by a recursive scan over composed clamp maps.
+
+    ``bounds`` holds lo and hi as a (2, n) array, or is None for (0, top).
+    No state leaves [0, top], so steps are clipped to [-top, top] in place.
+    The maps are copied into rows of shape (_BLOCK, n_blocks), row k holding
+    position k of every block, so each vector update reads contiguous
+    memory. A sweep down the rows walks every block from 0 and from top,
+    giving the lo and hi of the block's composed map; its step is the block
+    sum. The same function walks these block maps from ``start``, and a
+    second sweep replays every block from its start state into the rows. A
+    level with no full block and the trailing maps take a scalar loop. Rows
+    are int32 when top < 2**30, so a state plus a step stays in [-top, 2*top].
     """
-    n = steps.size
     np.clip(steps, -top, top, out=steps)
-    b = math.isqrt(n)
-    n_blocks = n // b
-    body = steps[:n_blocks * b].reshape(n_blocks, b)
-    out = states[:n_blocks * b].reshape(n_blocks, b)
-
-    def sweep(x, write):  # walk every row of x through the b block positions
-        for k in range(b):
-            np.add(x, body[:, k], out=x)
-            np.maximum(x, 0, out=x)
-            np.minimum(x, top, out=x)
-            if write:
-                out[:, k] = x
-
-    lo_hi = np.zeros((2, n_blocks), dtype=np.int64)
-    lo_hi[1] = top
-    sweep(lo_hi, write=False)
+    b = _BLOCK
+    n_blocks = steps.size // b
+    n_body = n_blocks * b
     x = start
-    starts = []
-    for a, lo, hi in zip(body.sum(axis=1).tolist(), *lo_hi.tolist()):
-        starts.append(x)
-        x = min(max(x + a, lo), hi)
-    sweep(np.array(starts, dtype=np.int64), write=True)
-    for t in range(n_blocks * b, n):  # remainder, fewer than b steps
-        x = min(max(x + int(steps[t]), 0), top)
-        states[t] = x
+    if n_blocks:
+        dtype = np.int32 if top < 2 ** 30 else np.int64
+        rows = np.empty((b, n_blocks), dtype)
+        body = steps[:n_body].reshape(n_blocks, b)
+        for j in range(0, n_blocks, 1024):  # a cache-sized chunk at a time
+            rows[:, j:j + 1024] = body[j:j + 1024].T
+        row_bounds = [(0, top)] * b if bounds is None else \
+            bounds[:, :n_body].reshape(2, n_blocks, b).transpose(2, 0, 1).copy()
+
+        def sweep(x, write):  # walk x through the b rows, in place
+            for k, (lo, hi) in enumerate(row_bounds):
+                y = rows[k] if write else x
+                np.add(x, rows[k], out=y)
+                np.maximum(y, lo, out=y)
+                np.minimum(y, hi, out=y)
+                x = y
+
+        sums = rows.sum(axis=0, dtype=np.int64)
+        lo_hi = np.array([[0], [top]], dtype).repeat(n_blocks, axis=1)
+        sweep(lo_hi, write=False)
+        ends = np.empty(n_blocks, dtype)  # the state after each block
+        _clamped_walk(sums, lo_hi, start, top, ends)
+        starts = np.roll(ends, 1)
+        starts[0], x = start, int(ends[-1])
+        sweep(starts, write=True)
+        out[:n_body].reshape(n_blocks, b)[...] = rows.T
+    tail_bounds = repeat((0, top)) if bounds is None \
+        else bounds[:, n_body:].T.tolist()
+    for t, (a, (lo, hi)) in enumerate(zip(steps[n_body:].tolist(), tail_bounds),
+                                      n_body):
+        x = min(max(x + int(a), lo), hi)
+        out[t] = x
 
 
 def simulate_trace(source, capacity: float, delta: float, gamma: float,
@@ -342,13 +367,13 @@ def simulate_trace(source, capacity: float, delta: float, gamma: float,
     state = top if initial_soc is None else int(round(
         min(max(initial_soc, 0.0), capacity) / delta))
     steps = _per_period_steps(source, delta, n_periods, rng)
-    idle_steps = None
-    if idle_source is not None:
-        idle_steps = _per_period_steps(idle_source, delta, n_periods, rng)
     states = np.empty(n_periods, dtype=np.int64)
-    if idle_steps is None:
-        _clamped_walk(steps, state, top, states)
+    if idle_source is None:
+        _clamped_walk(steps, None, state, top, states)
     else:
+        steps = steps.astype(np.int64)
+        idle_steps = _per_period_steps(idle_source, delta, n_periods,
+                                       rng).astype(np.int64)
         idle = state <= guard
         for t in range(n_periods):
             move = idle_steps[t] if idle else steps[t]

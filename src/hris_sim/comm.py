@@ -48,16 +48,16 @@ def rzf_precoder(h_eff: np.ndarray, p_total: float, noise_var: float) -> Precode
     return Precoder(W=w, total_power=p_total, regularizer=mu)
 
 
-def evaluate(channels: ChannelSet, theta: HrisConfig, precoder: Precoder,
-             eta: float, noise_var: float) -> LinkBudget:
-    """Per-UE SINR, network sum-rate, and direct-path power fraction."""
-    e = effective_channels(channels, theta, eta)  # (M, K)
-    a = e.conj().T @ precoder.W  # a[k, j] = e_k^H w_j
+def evaluate(h_eff: np.ndarray, h_d: np.ndarray, precoder: Precoder,
+             noise_var: float) -> LinkBudget:
+    """Per-UE SINR, network sum-rate, and direct-path power fraction, from
+    the (M, K) :func:`effective_channels` and the (K, M) direct channels."""
+    a = h_eff.conj().T @ precoder.W  # a[k, j] = e_k^H w_j
     sig = np.abs(np.diag(a)) ** 2
     interference = (np.abs(a) ** 2).sum(axis=1) - sig
     sinr = sig / (noise_var + interference)
     sum_rate = float(np.log2(1.0 + sinr).sum())
-    direct = np.abs(np.einsum("km,mk->k", channels.h_d.conj(), precoder.W)) ** 2
+    direct = np.abs(np.einsum("km,mk->k", h_d.conj(), precoder.W)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(sig > 0, direct / sig, 0.0)
     return LinkBudget(sinr=sinr, sum_rate=sum_rate,

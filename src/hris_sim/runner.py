@@ -148,7 +148,7 @@ def _sumrate_drop(args):
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
         h_eff = effective_channels(channels, theta, sc.eta)
         precoder = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
-        budget = evaluate(channels, theta, precoder, sc.eta, sc.noise_watts)
+        budget = evaluate(h_eff, channels.h_d, precoder, sc.noise_watts)
         rates.append(budget.sum_rate)
         fracs.append(budget.direct_power_fraction)
     return sc.k_users, drop, np.array(rates), np.reshape(fracs, (-1, sc.k_users))

@@ -46,7 +46,7 @@ def _scheme_means(scenario, k_users, schemes, n_drops):
             theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
             h_eff = effective_channels(channels, theta, sc.eta)
             precoder = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
-            budget = evaluate(channels, theta, precoder, sc.eta, sc.noise_watts)
+            budget = evaluate(h_eff, channels.h_d, precoder, sc.noise_watts)
             sums[scheme].append(budget.sum_rate)
     return {s: float(np.mean(v)) for s, v in sums.items()}
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,9 +9,11 @@ from scipy import linalg, sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import norm
 
-from hris_sim.battery import (BatteryChain, NetEnergyDist, ReducibleChainError,
-                              _closed_classes, build_chain, loss_of_charge,
-                              mah_to_joules, ploc_standard_error, simulate_trace,
+from hris_sim import battery
+from hris_sim.battery import (BatteryChain, BatterySizing, NetEnergyDist,
+                              ReducibleChainError, _closed_classes, build_chain,
+                              loss_of_charge, mah_to_joules, ploc_standard_error,
+                              resolve_loss_of_charge, simulate_trace,
                               size_battery, states_for_capacity, stationary,
                               stationary_power_iteration)
 
@@ -255,6 +259,28 @@ def scalar_trace(source, capacity, delta, gamma, n_periods, initial_soc=None,
     return ploc, states.astype(float) * delta
 
 
+def linear_size_battery(dist, delta_grid, target_ploc, gamma, s_max=200):
+    """Scans S = 2..s_max for every delta: the reference for size_battery's
+    bisection."""
+    delta_grid = list(delta_grid)
+    if not delta_grid:
+        raise ValueError("empty delta grid")
+    if not 0.0 < target_ploc < 1.0:
+        raise ValueError("target p_LoC must lie in (0, 1)")
+    best = None
+    for delta in delta_grid:
+        for s in range(2, s_max + 1):
+            ploc, _ = resolve_loss_of_charge(build_chain(dist, s, delta, gamma),
+                                             dist)
+            if ploc <= target_ploc:
+                candidate = BatterySizing(s, float(delta), float((s - 1) * delta))
+                if best is None or (candidate.capacity, candidate.delta) \
+                        < (best.capacity, best.delta):
+                    best = candidate
+                break  # larger S at this delta only grows the capacity
+    return best
+
+
 def closed_classes_reference(psi):
     """Closed classes from scipy's strongly connected components: the
     reference for _closed_classes."""
@@ -293,29 +319,53 @@ class TestVectorizedAgainstScalar:
         assert np.abs(psi.sum(axis=1) - 1.0).max() <= 1e-12
 
     @settings(deadline=None, max_examples=150)
-    @given(st.integers(1, 40), st.sampled_from((0.5, 1.0, 3.0)), st.data())
-    @example(top=1, delta=1.0, data=None)  # two states, one period
-    def test_trace_equals_scalar_loop(self, top, delta, data):
+    @given(st.integers(1, 40), st.sampled_from((0.5, 1.0, 3.0)),
+           st.sampled_from((2, 3, 4, 16)), st.integers(0, 3), st.data())
+    @example(top=1, delta=1.0, block=16, depth=0, data=None)  # 2 states, 1 period
+    def test_trace_equals_scalar_loop(self, top, delta, block, depth, data):
         capacity = top * delta
         if data is None:
             n, steps, initial_soc, burn_in = 1, np.array([5]), None, 0
         else:
-            n = data.draw(st.integers(1, 3000), label="n_periods")
-            near = st.integers(-2 * top - 1, 2 * top + 1)
-            far = st.integers(-2 ** 62, 2 ** 62)  # far past either end
-            steps = data.draw(arrays(np.int64, n, elements=st.one_of(
-                near, near, far)), label="steps")
+            # block**depth <= n < block**(depth + 1): depth levels of blocks
+            # above the scalar loop
+            n = data.draw(st.integers(block ** depth, block ** (depth + 1) - 1),
+                          label="n_periods")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1),
+                                                  label="seed"))
+            far_share = data.draw(st.sampled_from((0.0, 0.02, 0.3)),
+                                  label="far_share")
+            near = rng.integers(-2 * top - 1, 2 * top + 1, n, endpoint=True)
+            far = rng.integers(-2 ** 62, 2 ** 62, n, endpoint=True)
+            steps = np.where(rng.uniform(size=n) < far_share, far, near)
             initial_soc = data.draw(st.one_of(
                 st.none(), st.floats(-capacity, 2.0 * capacity)),
                 label="initial_soc")
             burn_in = data.draw(st.integers(0, n - 1), label="burn_in")
         # energies a quarter step into each step's bin
         source = (steps + 0.25) * delta
-        got = simulate_trace(source, capacity, delta, 0.1, n,
-                             np.random.default_rng(0),
-                             initial_soc=initial_soc, burn_in=burn_in)
+        with mock.patch.object(battery, "_BLOCK", block):
+            got = simulate_trace(source, capacity, delta, 0.1, n,
+                                 np.random.default_rng(0),
+                                 initial_soc=initial_soc, burn_in=burn_in)
         want = scalar_trace(source, capacity, delta, 0.1, n,
                             initial_soc=initial_soc, burn_in=burn_in)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("top", [2 ** 30 - 1, 2 ** 30])  # int32, int64 rows
+    def test_trace_at_the_int32_limit_equals_scalar_loop(self, top):
+        rng = np.random.default_rng(top)
+        n = 3000
+        near_ends = rng.choice([-top - 1, -top, -top + 1, -1, 0, 1,
+                                top - 1, top, top + 1], n)
+        far = rng.integers(-2 ** 62, 2 ** 62, n, endpoint=True)
+        small = rng.integers(-3, 3, n, endpoint=True)
+        pick = rng.integers(0, 3, n)
+        source = np.choose(pick, [near_ends, far, small]) + 0.25
+        got = simulate_trace(source, float(top), 1.0, 0.1, n,
+                             np.random.default_rng(0))
+        want = scalar_trace(source, float(top), 1.0, 0.1, n)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
 
@@ -329,6 +379,27 @@ class TestVectorizedAgainstScalar:
         want = scalar_trace(energies, 60.0, 5.0, 0.1, n, burn_in=1000)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from((-1.0, 1.0)),
+           st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 45.0)),
+           st.floats(-2.0, 1.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+           st.integers(2, 60), st.floats(-6.0, np.log10(0.5)),
+           st.sampled_from((0.0, 0.1, 0.5)))
+    # p_LoC 0.418 at S=6 but 0.456 at S=11, where the guard steps up to 1
+    @example(sign=1.0, sigmas=0.0, log_std=0.0, log_deltas=[-0.375], s_max=11,
+             log_target=-0.375, gamma=0.1)
+    def test_sizing_equals_linear_scan(self, sign, sigmas, log_std, log_deltas,
+                                       s_max, log_target, gamma):
+        # past about 8 std of drift the chain saturates to discharge, past
+        # about 38 std to charge
+        std = 10.0 ** log_std
+        dist = NetEnergyDist.gaussian(sign * sigmas * std, std)
+        deltas = [std * 10.0 ** v for v in log_deltas]
+        target = 10.0 ** log_target
+        assert size_battery(dist, deltas, target, gamma, s_max) == \
+            linear_size_battery(dist, deltas, target, gamma, s_max)
 
 
 class TestAgainstScipyReference:

@@ -80,7 +80,7 @@ class TestEvaluate:
         theta = idle_config(sc.n_hris_elements)
         e = effective_channels(ch, theta, eta=0.0)
         prec = rzf_precoder(e, sc.p_watts, sc.noise_watts)
-        budget = evaluate(ch, theta, prec, 0.0, sc.noise_watts)
+        budget = evaluate(e, ch.h_d, prec, sc.noise_watts)
         expected = sc.p_watts * np.linalg.norm(ch.h_d[0]) ** 2 / sc.noise_watts
         assert np.isclose(budget.sinr[0], expected, rtol=1e-9)
         assert np.isclose(budget.sum_rate, np.log2(1 + expected), rtol=1e-9)
@@ -91,9 +91,9 @@ class TestEvaluate:
         ch.h_d[:] = 0.0
         ch.h[:] = 0.0
         ch.G[:] = 0.0
-        theta = idle_config(sc.n_hris_elements)
+        e = effective_channels(ch, idle_config(sc.n_hris_elements), sc.eta)
         prec = rzf_precoder(np.eye(4, 2, dtype=complex), sc.p_watts, sc.noise_watts)
-        budget = evaluate(ch, theta, prec, sc.eta, sc.noise_watts)
+        budget = evaluate(e, ch.h_d, prec, sc.noise_watts)
         assert np.allclose(budget.sinr, 0.0)
         assert budget.sum_rate == 0.0
 
@@ -105,7 +105,7 @@ class TestEvaluate:
         theta = oracle_config(ch, "weighted")
         e = effective_channels(ch, theta, sc.eta)
         prec = rzf_precoder(e, sc.p_watts, sc.noise_watts)
-        budget = evaluate(ch, theta, prec, sc.eta, sc.noise_watts)
+        budget = evaluate(e, ch.h_d, prec, sc.noise_watts)
         assert np.isclose(budget.sinr[0], budget.sinr[1], rtol=1e-6)
 
     def test_sum_rate_invariant_under_user_relabeling(self):
@@ -116,7 +116,7 @@ class TestEvaluate:
         def rate(c):
             e = effective_channels(c, theta, sc.eta)
             prec = rzf_precoder(e, sc.p_watts, sc.noise_watts)
-            return evaluate(c, theta, prec, sc.eta, sc.noise_watts).sum_rate
+            return evaluate(e, c.h_d, prec, sc.noise_watts).sum_rate
 
         base = rate(ch)
         ch.h = ch.h[perm]
@@ -130,8 +130,7 @@ class TestEvaluate:
         out = []
         for scale in (1.0, 100.0):
             prec = rzf_precoder(e, scale * sc.p_watts, scale * sc.noise_watts)
-            out.append(evaluate(ch, theta, prec, sc.eta,
-                                scale * sc.noise_watts).sinr)
+            out.append(evaluate(e, ch.h_d, prec, scale * sc.noise_watts).sinr)
         assert np.allclose(out[0], out[1], rtol=1e-9)
 
     def test_eta_zero_independent_of_config(self):
@@ -142,7 +141,7 @@ class TestEvaluate:
             theta = HrisConfig(np.exp(1j * rng.uniform(0, 2 * np.pi, 32)))
             e = effective_channels(ch, theta, 0.0)
             prec = rzf_precoder(e, sc.p_watts, sc.noise_watts)
-            rates.append(evaluate(ch, theta, prec, 0.0, sc.noise_watts).sum_rate)
+            rates.append(evaluate(e, ch.h_d, prec, sc.noise_watts).sum_rate)
         assert np.allclose(rates, rates[0])
 
     def test_oracle_beats_idle_on_average_small_k(self):
@@ -156,7 +155,7 @@ class TestEvaluate:
                     else idle_config(sc.n_hris_elements)
                 e = effective_channels(ch, theta, sc.eta)
                 prec = rzf_precoder(e, sc.p_watts, sc.noise_watts)
-                sums[name].append(evaluate(ch, theta, prec, sc.eta,
+                sums[name].append(evaluate(e, ch.h_d, prec,
                                            sc.noise_watts).sum_rate)
         assert np.mean(sums["oracle"]) >= np.mean(sums["idle"])
 
@@ -165,6 +164,6 @@ class TestEvaluate:
         theta = oracle_config(ch, "weighted")
         e = effective_channels(ch, theta, sc.eta)
         prec = rzf_precoder(e, sc.p_watts, sc.noise_watts)
-        budget = evaluate(ch, theta, prec, sc.eta, sc.noise_watts)
+        budget = evaluate(e, ch.h_d, prec, sc.noise_watts)
         assert np.all(budget.direct_power_fraction >= 0.0)
         assert np.all(budget.direct_power_fraction <= 1.0)
