@@ -17,7 +17,7 @@ import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -259,18 +259,16 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
         chain = build_chain(dist, s, delta, gamma)
         return resolve_loss_of_charge(chain, dist)[0] <= target_ploc
 
-    run_ends = [s for s in range(2, s_max + 1) if s == s_max
-                or math.floor(gamma * s) > math.floor(gamma * (s - 1))]
+    runs = [list(run) for _, run in groupby(
+        range(2, s_max + 1), key=lambda s: math.floor(gamma * (s - 1)))]
     found = []
     for delta in delta_grid:
-        first = 2
-        for last in run_ends:
-            if meets(last, delta):
-                s = first + bisect.bisect_left(range(first, last), True,
-                                               key=lambda s: meets(s, delta))
+        for run in runs:
+            if meets(run[-1], delta):
+                s = run[bisect.bisect_left(run, True, hi=len(run) - 1,
+                                           key=lambda s: meets(s, delta))]
                 found.append(BatterySizing(s, float(delta), float((s - 1) * delta)))
                 break
-            first = last + 1
     return min(found, key=lambda c: (c.capacity, c.delta), default=None)
 
 
@@ -291,33 +289,35 @@ _BLOCK = 16  # maps per block of the scan
 
 
 def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
-                  top: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the walk x -> min(max(x + steps[t], lo[t]), hi[t])
-    from ``start``, exactly, by a recursive scan over composed clamp maps.
+                  top: int) -> np.ndarray:
+    """The states of the walk x -> min(max(x + steps[t], lo[t]), hi[t]) from
+    ``start``, exactly, by a recursive scan over composed clamp maps.
 
     ``bounds`` holds lo and hi as a (2, n) array, or is None for (0, top).
-    No state leaves [0, top], so steps are clipped to [-top, top] in place.
-    The maps are copied into rows of shape (_BLOCK, n_blocks), row k holding
-    position k of every block, so each vector update reads contiguous
-    memory. A sweep down the rows walks every block from 0 and from top,
-    giving the lo and hi of the block's composed map; its step is the block
-    sum. The same function walks these block maps from ``start``, and a
-    second sweep replays every block from its start state into the rows. A
-    level with no full block and the trailing maps take a scalar loop. Rows
-    are int32 when top < 2**30, so a state plus a step stays in [-top, 2*top].
+    Steps are clipped to [-top, top] in place, which changes no state. Row
+    k of the (_BLOCK, n_blocks) copy holds position k of every block, so
+    each vector update reads contiguous memory. One sweep down the rows
+    walks every block from 0 and from top: the lo and hi of its composed
+    map, whose step is the block sum. This function walks the block maps
+    from ``start``, and a second sweep replays each block from its start.
+    The last level and the trailing maps take a scalar loop. States are
+    int32 when top < 2**30: a state plus a step stays in [-top, 2*top].
     """
     np.clip(steps, -top, top, out=steps)
     b = _BLOCK
     n_blocks = steps.size // b
     n_body = n_blocks * b
+    dtype = np.int32 if top < 2 ** 30 else np.int64
+    out = np.empty(steps.size, dtype)
     x = start
     if n_blocks:
-        dtype = np.int32 if top < 2 ** 30 else np.int64
         rows = np.empty((b, n_blocks), dtype)
         body = steps[:n_body].reshape(n_blocks, b)
         for j in range(0, n_blocks, 1024):  # a cache-sized chunk at a time
             rows[:, j:j + 1024] = body[j:j + 1024].T
-        row_bounds = [(0, top)] * b if bounds is None else \
+        # lo and hi rows at the top level too: a scalar operand is far slower
+        span = np.array([[0], [top]], dtype).repeat(n_blocks, axis=1)
+        row_bounds = [span] * b if bounds is None else \
             bounds[:, :n_body].reshape(2, n_blocks, b).transpose(2, 0, 1).copy()
 
         def sweep(x, write):  # walk x through the b rows, in place
@@ -329,10 +329,9 @@ def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
                 x = y
 
         sums = rows.sum(axis=0, dtype=np.int64)
-        lo_hi = np.array([[0], [top]], dtype).repeat(n_blocks, axis=1)
+        lo_hi = span.copy()
         sweep(lo_hi, write=False)
-        ends = np.empty(n_blocks, dtype)  # the state after each block
-        _clamped_walk(sums, lo_hi, start, top, ends)
+        ends = _clamped_walk(sums, lo_hi, start, top)  # state after each block
         starts = np.roll(ends, 1)
         starts[0], x = start, int(ends[-1])
         sweep(starts, write=True)
@@ -343,6 +342,7 @@ def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
                                       n_body):
         x = min(max(x + int(a), lo), hi)
         out[t] = x
+    return out
 
 
 def simulate_trace(source, capacity: float, delta: float, gamma: float,
@@ -366,14 +366,14 @@ def simulate_trace(source, capacity: float, delta: float, gamma: float,
     top = s - 1
     state = top if initial_soc is None else int(round(
         min(max(initial_soc, 0.0), capacity) / delta))
-    steps = _per_period_steps(source, delta, n_periods, rng)
-    states = np.empty(n_periods, dtype=np.int64)
-    if idle_source is None:
-        _clamped_walk(steps, None, state, top, states)
+    if idle_source is None:  # no steps outlive the walk
+        states = _clamped_walk(_per_period_steps(source, delta, n_periods, rng),
+                               None, state, top)
     else:
-        steps = steps.astype(np.int64)
+        steps = _per_period_steps(source, delta, n_periods, rng).astype(np.int64)
         idle_steps = _per_period_steps(idle_source, delta, n_periods,
                                        rng).astype(np.int64)
+        states = np.empty(n_periods, dtype=np.int64)
         idle = state <= guard
         for t in range(n_periods):
             move = idle_steps[t] if idle else steps[t]
