@@ -6,7 +6,7 @@ from .battery import (BatteryChain, NetEnergyDist, build_chain, loss_of_charge,
                       states_for_capacity)
 from .channel import (BlockageField, ChannelSet, PathlossModel, los_probability,
                       pathloss, realize_channels, simulate_blockage)
-from .comm import LinkBudget, Precoder, effective_channels, evaluate, rzf_precoder
+from .comm import LinkBudget, effective_channels, evaluate, rzf_precoder
 from .energy import (ConsumptionModel, FramePower, HarvesterModel,
                      atom_consumption, config_consumption, diode_count,
                      frame_power, harvest, idle_harvest_fraction, slot_harvest)

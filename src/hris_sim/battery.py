@@ -14,7 +14,6 @@ simulator of the same quantized process provides the empirical counterpart.
 """
 
 import bisect
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
@@ -54,14 +53,13 @@ class NetEnergyDist:
     """Distribution of the net stored energy per period (Joules).
 
     ``cdf`` maps an array of energies x to the array of P[dE <= x], element
-    by element; ``sampler`` (rng, n) draws n values and is required only by
-    the trace simulator.
+    by element; ``sampler`` (rng, n) draws n values for the trace simulator.
     """
 
     mean: float
     std: float
     cdf: Callable
-    sampler: Callable | None = None
+    sampler: Callable
 
     def __post_init__(self):
         if self.std <= 0:
@@ -74,8 +72,6 @@ class NetEnergyDist:
                    sampler=lambda rng, n: rng.normal(mean, std, size=n))
 
     def sample(self, rng, n: int) -> np.ndarray:
-        if self.sampler is None:
-            raise ValueError("distribution has no sampler attached")
         return np.asarray(self.sampler(rng, n), dtype=float)
 
 
@@ -87,7 +83,6 @@ class BatteryChain:
     step: float  # Joules between adjacent states
     psi: np.ndarray  # (S, S) row-stochastic transition matrix
     guard_state: int
-    voltage: float = 3.7
     pi: np.ndarray | None = field(default=None)  # cached stationary distribution
 
     @property
@@ -95,13 +90,18 @@ class BatteryChain:
         return (self.n_states - 1) * self.step
 
 
+def guard_state(n_states: int, gamma: float) -> int:
+    """Index of the guard state, floor(gamma * (S-1))."""
+    return int(np.floor(gamma * (n_states - 1)))
+
+
 def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
                 gamma: float) -> BatteryChain:
     """Assemble the transition matrix from the net-energy CDF.
 
-    ``gamma`` is the guard fraction of capacity; the guard state index is
-    floor(gamma * (S-1)). ``dist.cdf`` is called once, on the array of the
-    2S-1 grid points k*delta for k in [-(S-1), S-1].
+    ``gamma`` is the guard fraction of capacity (see :func:`guard_state`).
+    ``dist.cdf`` is called once, on the 2S-1 grid points k*delta for k in
+    [-(S-1), S-1].
     """
     if n_states < 2:
         raise ValueError("need at least two states")
@@ -126,8 +126,7 @@ def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
     if row_err > 1e-12 or psi.min() < -1e-15:
         raise ValueError(f"transition matrix not stochastic (row error {row_err:.3e})")
     psi = np.clip(psi, 0.0, None)
-    guard = int(np.floor(gamma * (s - 1)))
-    return BatteryChain(n_states=s, step=delta, psi=psi, guard_state=guard)
+    return BatteryChain(s, delta, psi, guard_state(s, gamma))
 
 
 def _reaches_all(adj: np.ndarray) -> bool:
@@ -154,7 +153,10 @@ def _closed_classes(psi: np.ndarray):
                         for r in roots if not leaks[r]]
 
 
-def stationary(chain: BatteryChain, residual_tol: float = 1e-10) -> np.ndarray:
+_RESIDUAL_TOL = 1e-10  # largest |Psi^T pi - pi| a stationary solve may leave
+
+
+def stationary(chain: BatteryChain) -> np.ndarray:
     """Unique fixed point of pi = Psi^T pi via a direct linear solve.
 
     Requires an irreducible chain; otherwise raises ReducibleChainError
@@ -172,7 +174,7 @@ def stationary(chain: BatteryChain, residual_tol: float = 1e-10) -> np.ndarray:
     pi = np.clip(pi, 0.0, None)
     pi = pi / pi.sum()
     residual = np.abs(chain.psi.T @ pi - pi).max()
-    if residual > residual_tol:
+    if residual > _RESIDUAL_TOL:
         raise ValueError(f"stationary solve residual {residual:.3e} above tolerance")
     chain.pi = pi
     return pi
@@ -199,21 +201,21 @@ def loss_of_charge(chain: BatteryChain) -> float:
     return float(pi[: chain.guard_state + 1].sum())
 
 
-def resolve_loss_of_charge(chain: BatteryChain,
-                           dist: NetEnergyDist) -> tuple[float, str]:
+def resolve_loss_of_charge(chain: BatteryChain) -> tuple[float, str]:
     """p_LoC of a chain and its status.
 
     "ok" when the stationary solve succeeds. A saturated drift makes the
     off-drift transition probabilities underflow, and the solve rejects the
-    chain as reducible; the drift sign then decides: "saturated-charge"
-    (p_LoC 0) or "saturated-discharge" (p_LoC 1).
+    chain as reducible; its closed classes then decide: "saturated-discharge"
+    (p_LoC 1) when every one lies at or below the guard state, else
+    "saturated-charge" (p_LoC 0).
     """
     try:
         return loss_of_charge(chain), "ok"
-    except ReducibleChainError:
-        if dist.mean > 0 and chain.guard_state < chain.n_states - 1:
-            return 0.0, "saturated-charge"
-        return 1.0, "saturated-discharge"
+    except ReducibleChainError as exc:
+        if all(max(c) <= chain.guard_state for c in exc.closed_classes):
+            return 1.0, "saturated-discharge"
+        return 0.0, "saturated-charge"
 
 
 def ploc_standard_error(chain: BatteryChain, n_periods: int) -> float:
@@ -257,10 +259,10 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
 
     def meets(s, delta):
         chain = build_chain(dist, s, delta, gamma)
-        return resolve_loss_of_charge(chain, dist)[0] <= target_ploc
+        return resolve_loss_of_charge(chain)[0] <= target_ploc
 
     runs = [list(run) for _, run in groupby(
-        range(2, s_max + 1), key=lambda s: math.floor(gamma * (s - 1)))]
+        range(2, s_max + 1), key=lambda s: guard_state(s, gamma))]
     found = []
     for delta in delta_grid:
         for run in runs:
@@ -273,7 +275,7 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
 
 
 def _per_period_steps(source, delta: float, n_periods: int, rng) -> np.ndarray:
-    """floor(dE / delta) per period, as floats."""
+    """floor(dE / delta) per period, as floats; non-finite dE raise."""
     if isinstance(source, NetEnergyDist):
         values = source.sample(rng, n_periods)
     else:
@@ -281,6 +283,10 @@ def _per_period_steps(source, delta: float, n_periods: int, rng) -> np.ndarray:
         if values.size < n_periods:
             raise ValueError("energy stream shorter than the requested trace")
         values = values[:n_periods]
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)]
+        raise ValueError(f"non-finite net energies {', '.join(map(str, np.unique(bad)))}"
+                         f" in {bad.size} of {values.size} periods")
     quotient = values / delta
     return np.floor(quotient, out=quotient)
 
@@ -362,7 +368,7 @@ def simulate_trace(source, capacity: float, delta: float, gamma: float,
     if not 0 <= burn_in < n_periods:
         raise ValueError("burn_in must lie in [0, n_periods)")
     s = states_for_capacity(capacity, delta)
-    guard = int(np.floor(gamma * (s - 1)))
+    guard = guard_state(s, gamma)
     top = s - 1
     state = top if initial_soc is None else int(round(
         min(max(initial_soc, 0.0), capacity) / delta))

@@ -62,10 +62,6 @@ class ChannelSet:
     ue_positions: np.ndarray
     a_r_bs: np.ndarray
 
-    @property
-    def n_users(self) -> int:
-        return self.h.shape[0]
-
 
 def pathloss(p, q, model: PathlossModel, exponent):
     """Linear gain gamma0 * (d0 / ||p-q||)^exponent; errors on zero distance.

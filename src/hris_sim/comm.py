@@ -9,15 +9,6 @@ from .hris import REFLECTION, HrisConfig
 
 
 @dataclass(eq=False)
-class Precoder:
-    """Frobenius-normalized regularized zero-forcing precoder."""
-
-    W: np.ndarray  # (M, K)
-    total_power: float
-    regularizer: float
-
-
-@dataclass(eq=False)
 class LinkBudget:
     sinr: np.ndarray
     sum_rate: float  # bits/s/Hz
@@ -36,28 +27,27 @@ def effective_channels(channels: ChannelSet, theta: HrisConfig, eta: float) -> n
     return channels.h_d.T + np.sqrt(eta) * reflected
 
 
-def rzf_precoder(h_eff: np.ndarray, p_total: float, noise_var: float) -> Precoder:
-    """Regularized zero-forcing: sqrt(P) (HH^H + mu I)^-1 H, Frobenius-normalized,
-    with mu = K * noise_var / P."""
+def rzf_precoder(h_eff: np.ndarray, p_total: float, noise_var: float) -> np.ndarray:
+    """Regularized zero-forcing: the (M, K) precoder sqrt(P) (HH^H + mu I)^-1 H,
+    Frobenius-normalized, with mu = K * noise_var / P."""
     if p_total <= 0:
         raise ValueError("total power must be positive")
     m, k = h_eff.shape
     mu = k * noise_var / p_total
     x = np.linalg.solve(h_eff @ h_eff.conj().T + mu * np.eye(m), h_eff)
-    w = np.sqrt(p_total) * x / np.linalg.norm(x)
-    return Precoder(W=w, total_power=p_total, regularizer=mu)
+    return np.sqrt(p_total) * x / np.linalg.norm(x)
 
 
-def evaluate(h_eff: np.ndarray, h_d: np.ndarray, precoder: Precoder,
+def evaluate(h_eff: np.ndarray, h_d: np.ndarray, w: np.ndarray,
              noise_var: float) -> LinkBudget:
-    """Per-UE SINR, network sum-rate, and direct-path power fraction, from
-    the (M, K) :func:`effective_channels` and the (K, M) direct channels."""
-    a = h_eff.conj().T @ precoder.W  # a[k, j] = e_k^H w_j
+    """Per-UE SINR, network sum-rate, and direct-path power fraction of the
+    (M, K) precoder ``w``, over the (M, K) :func:`effective_channels`."""
+    a = h_eff.conj().T @ w  # a[k, j] = e_k^H w_j
     sig = np.abs(np.diag(a)) ** 2
     interference = (np.abs(a) ** 2).sum(axis=1) - sig
     sinr = sig / (noise_var + interference)
     sum_rate = float(np.log2(1.0 + sinr).sum())
-    direct = np.abs(np.einsum("km,mk->k", h_d.conj(), precoder.W)) ** 2
+    direct = np.abs(np.einsum("km,mk->k", h_d.conj(), w)) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(sig > 0, direct / sig, 0.0)
     return LinkBudget(sinr=sinr, sum_rate=sum_rate,

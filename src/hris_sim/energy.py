@@ -82,14 +82,17 @@ def config_consumption(config: HrisConfig, model: ConsumptionModel) -> float:
     return model.p_on * diode_count(config)
 
 
-def idle_harvest_fraction(nx: int, nz: int, spacing_ratio: float = 0.5) -> float:
+_HALF_WAVE = 0.5  # element spacing in wavelengths
+
+
+def idle_harvest_fraction(nx: int, nz: int) -> float:
     """Harvest efficiency fraction of the idle (all-off) beam.
 
-    With beamwidths 1/(nx*delta) and 1/(nz*delta) on the two array axes, the
-    idle beam covers the fraction Bx*By/pi^2 of uniformly distributed sources.
+    With beamwidths 1/(nx*delta) and 1/(nz*delta) at half-wave spacing
+    delta, the idle beam covers the fraction Bx*By/pi^2 of uniformly
+    distributed sources.
     """
-    bx = 1.0 / (nx * spacing_ratio)
-    bz = 1.0 / (nz * spacing_ratio)
+    bx, bz = 1.0 / (nx * _HALF_WAVE), 1.0 / (nz * _HALF_WAVE)
     return bx * bz / np.pi ** 2
 
 

@@ -4,7 +4,7 @@ The base station is a uniform linear array along the x axis; the hybrid RIS
 is a planar array in the x-z plane with broadside along +y.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,18 +13,15 @@ C0 = 299792458.0  # speed of light in vacuum, m/s (exact by SI definition)
 
 @dataclass
 class Radio:
-    """Carrier frequency and wavelength (derived as c0/f when omitted)."""
+    """Carrier frequency and its wavelength c0/f."""
 
     carrier_hz: float
-    wavelength: float | None = None
+    wavelength: float = field(init=False)
 
     def __post_init__(self):
         if self.carrier_hz <= 0:
             raise ValueError("carrier frequency must be positive")
-        if self.wavelength is None:
-            self.wavelength = C0 / self.carrier_hz
-        if abs(self.wavelength * self.carrier_hz - C0) > 1e-6 * C0:
-            raise ValueError("wavelength inconsistent with carrier frequency")
+        self.wavelength = C0 / self.carrier_hz
 
 
 @dataclass(eq=False)
@@ -37,7 +34,6 @@ class ArrayGeometry:
 
     center: np.ndarray
     element_offsets: np.ndarray
-    kind: str  # "ULA" or "planar"
     nx: int = 1
     nz: int = 1
     spacing: float = 0.0
@@ -48,20 +44,14 @@ class ArrayGeometry:
         if self.center.shape != (3,) or self.element_offsets.ndim != 2 \
                 or self.element_offsets.shape[1] != 3:
             raise ValueError("center must be a 3-vector and offsets (n, 3)")
-        if self.kind not in ("ULA", "planar"):
-            raise ValueError(f"unknown array kind {self.kind!r}")
         if np.abs(self.element_offsets.mean(axis=0)).max() > 1e-12:
             raise ValueError("element offsets must be symmetric about the center")
-        if self.kind == "planar" and self.n_elements != self.nx * self.nz:
-            raise ValueError("planar array requires nx*nz elements")
+        if self.n_elements != self.nx * self.nz:
+            raise ValueError("array requires nx*nz elements")
 
     @property
     def n_elements(self) -> int:
         return self.element_offsets.shape[0]
-
-    @property
-    def element_positions(self) -> np.ndarray:
-        return self.center + self.element_offsets
 
 
 def ula(center, n_elements: int, spacing: float) -> ArrayGeometry:
@@ -71,7 +61,7 @@ def ula(center, n_elements: int, spacing: float) -> ArrayGeometry:
     idx = np.arange(n_elements) - (n_elements - 1) / 2.0
     offsets = np.zeros((n_elements, 3))
     offsets[:, 0] = idx * spacing
-    return ArrayGeometry(center, offsets, "ULA", nx=n_elements, nz=1, spacing=spacing)
+    return ArrayGeometry(center, offsets, nx=n_elements, nz=1, spacing=spacing)
 
 
 def planar(center, nx: int, nz: int, spacing: float) -> ArrayGeometry:
@@ -84,7 +74,7 @@ def planar(center, nx: int, nz: int, spacing: float) -> ArrayGeometry:
     offsets = np.zeros((nx * nz, 3))
     offsets[:, 0] = xx.ravel() * spacing
     offsets[:, 2] = zz.ravel() * spacing
-    return ArrayGeometry(center, offsets, "planar", nx=nx, nz=nz, spacing=spacing)
+    return ArrayGeometry(center, offsets, nx=nx, nz=nz, spacing=spacing)
 
 
 def wave_vector(p, q, wavelength: float) -> np.ndarray:

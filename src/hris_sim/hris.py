@@ -90,7 +90,6 @@ class Codebook:
 
     phases: np.ndarray  # (L, N) absorption phases
     directions: np.ndarray  # (L, 2) azimuth, elevation in radians
-    bit_depth: int
 
     def __len__(self) -> int:
         return self.phases.shape[0]
@@ -106,11 +105,10 @@ def direction_unit_vector(azimuth: float, elevation: float) -> np.ndarray:
 
 
 def steering_config(geom: ArrayGeometry, radio: Radio, azimuth: float,
-                    elevation: float, q_bits: int | None = None) -> HrisConfig:
-    """Absorption config steering the sensed beam toward (azimuth, elevation)."""
+                    elevation: float, q_bits: int) -> HrisConfig:
+    """Quantized absorption config steering toward (azimuth, elevation)."""
     p = geom.center + _FAR_FIELD_M * direction_unit_vector(azimuth, elevation)
-    cfg = HrisConfig(array_response(geom, p, radio), ABSORPTION)
-    return quantize(cfg, q_bits) if q_bits is not None else cfg
+    return quantize(HrisConfig(array_response(geom, p, radio), ABSORPTION), q_bits)
 
 
 def _grid_shape(l_codewords: int) -> tuple:
@@ -142,7 +140,7 @@ def build_codebook(geom: ArrayGeometry, radio: Radio, l_codewords: int,
     directions = np.array([(az, el) for el in elevations for az in azimuths])
     phases = np.stack([steering_config(geom, radio, az, el, q_bits).phases
                        for az, el in directions])
-    return Codebook(phases, directions, q_bits)
+    return Codebook(phases, directions)
 
 
 def _sensed_powers(phases: np.ndarray, incident: np.ndarray, eta: float,

@@ -115,13 +115,18 @@ def _reflection_for_scheme(scenario: Scenario, channels, scheme: str, codebooks)
     if scheme == "oracle-weighted":
         return oracle_config(channels, "weighted")
     q = probe_scheme_bits(scheme)
-    _, phi_b = probe(codebooks[q], incident_from_bs(channels, scenario.p_watts),
-                     scenario.eta, scenario.noise_watts,
-                     scenario.probe_threshold_w, scenario.combining)
-    _, phi_u = probe(codebooks[q], incident_from_ues(channels, scenario.p_watts),
-                     scenario.eta, scenario.noise_watts,
-                     scenario.probe_threshold_w, scenario.combining)
+    _, (phi_b, phi_u) = _probe_links(scenario, channels, codebooks[q])
     return compose_reflection(phi_b, phi_u, q)
+
+
+def _probe_links(sc: Scenario, channels, codebook: Codebook):
+    """The pilot signals at the surface from the BS and from the UEs, and the
+    absorption config the probing sweep combines for each."""
+    incident = (incident_from_bs(channels, sc.p_watts),
+                incident_from_ues(channels, sc.p_watts))
+    return incident, [probe(codebook, v, sc.eta, sc.noise_watts,
+                            sc.probe_threshold_w, sc.combining)[1]
+                      for v in incident]
 
 
 def _codebook(scenario: Scenario, q_bits: int) -> Codebook:
@@ -147,8 +152,8 @@ def _sumrate_drop(args):
     for scheme in sc.schemes:
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
         h_eff = effective_channels(channels, theta, sc.eta)
-        precoder = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
-        budget = evaluate(h_eff, channels.h_d, precoder, sc.noise_watts)
+        w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
+        budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
         rates.append(budget.sum_rate)
         fracs.append(budget.direct_power_fraction)
     return sc.k_users, drop, np.array(rates), np.reshape(fracs, (-1, sc.k_users))
@@ -208,12 +213,7 @@ def _energy_drop(args):
     sc, codebook, drop = args
     rng = _rng(sc, _EXP_ENERGY, sc.n_hris_elements, sc.q_bits, drop)
     channels = realize_channels(sc, rng)
-    v_b = incident_from_bs(channels, sc.p_watts)
-    v_u = incident_from_ues(channels, sc.p_watts)
-    _, phi_b = probe(codebook, v_b, sc.eta, sc.noise_watts,
-                     sc.probe_threshold_w, sc.combining)
-    _, phi_u = probe(codebook, v_u, sc.eta, sc.noise_watts,
-                     sc.probe_threshold_w, sc.combining)
+    (v_b, v_u), (phi_b, phi_u) = _probe_links(sc, channels, codebook)
     theta = compose_reflection(phi_b, phi_u, sc.q_bits)
     phi_b_q = quantize(phi_b, sc.q_bits)
     phi_u_q = quantize(phi_u, sc.q_bits)
@@ -319,7 +319,7 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
         dists.append(dist)
         for i_c, (cap_j, n) in enumerate(zip(caps_j, n_states)):
             chain = bat.build_chain(dist, n, delta_j, scenario.guard_fraction)
-            ploc_t, status = bat.resolve_loss_of_charge(chain, dist)
+            ploc_t, status = bat.resolve_loss_of_charge(chain)
             stderr = (bat.ploc_standard_error(chain, n_periods)
                       if status == "ok" else 0.0)
             rng = _rng(scenario, _EXP_BATTERY, i_p, i_c)

@@ -8,6 +8,7 @@ are exposed as properties.
 
 import dataclasses
 import json
+import logging
 import numbers
 import typing
 from dataclasses import dataclass
@@ -15,6 +16,8 @@ from importlib import resources
 from pathlib import Path
 
 from .battery import mah_to_joules, states_for_capacity
+
+log = logging.getLogger(__name__)
 
 
 class ScenarioError(ValueError):
@@ -85,10 +88,8 @@ class Scenario:
     combining: str = "soft"  # peak combining: "soft" (power-weighted) or "hard"
 
     # frame layout and traffic
-    period_s: float = 0.01
     n_dl_slots: int = 8
     n_ul_slots: int = 3
-    n_ce_slots: int = 1
     traffic: float = 0.5  # duty factor applied to harvesting opportunities
 
     # hardware power
@@ -182,8 +183,6 @@ class Scenario:
         require(self.q_bits >= 1, "q_bits must be >= 1")
         require(self.combining in ("soft", "hard"),
                 f"unknown combining {self.combining!r}")
-        require(self.period_s > 0, "period_s must be positive")
-        require(self.n_ce_slots >= 1, "n_ce_slots must be >= 1")
         require(self.n_dl_slots >= 0 and self.n_ul_slots >= 0,
                 "slot counts must be >= 0")
         require(self.p_on_mw >= 0, "p_on_mw must be >= 0")
@@ -260,10 +259,15 @@ class Scenario:
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Scenario))
+_RETIRED = ("n_ce_slots", "period_s")  # in older files; read by nothing
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from a complete mapping; strict on keys."""
+    """Build a Scenario from a complete mapping; strict on keys but retired ones."""
+    retired = [name for name in _RETIRED if name in data]
+    if retired:
+        log.warning("ignoring retired scenario field(s) %s", ", ".join(retired))
+        data = {k: v for k, v in data.items() if k not in _RETIRED}
     unknown = sorted(set(data) - set(_FIELD_NAMES))
     if unknown:
         raise ScenarioError(f"unknown field {unknown[0]!r} in scenario config")

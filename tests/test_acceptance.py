@@ -207,7 +207,7 @@ def test_criterion_8_harvest_monotonicity(battery_scenario):
 
 
 def test_criterion_9_idle_beam_fraction():
-    nu = idle_harvest_fraction(8, 4, 0.5)
+    nu = idle_harvest_fraction(8, 4)
     assert abs(nu - 0.125 / np.pi ** 2) < 1e-12
     _passed(f"criterion 9: idle harvest fraction for the 8x4 half-wavelength "
             f"surface equals 0.125/pi^2 ({nu:.6e}) to 1e-12")

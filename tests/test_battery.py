@@ -134,6 +134,30 @@ class TestLossOfCharge:
         assert all(a >= b for a, b in zip(plocs, plocs[1:]))
 
 
+class TestSaturatedChains:
+    # delta is 10 std: P[dE >= delta] rounds to 0, so every step is 0 or -1
+    # and state 0 is the one closed class, though the mean is positive
+    def test_positive_mean_that_only_drains_is_saturated_discharge(self):
+        dist = NetEnergyDist.gaussian(0.1, 1.0)
+        chain = build_chain(dist, 5, 10.0, 0.1)
+        with pytest.raises(ReducibleChainError):
+            stationary(chain)
+        assert resolve_loss_of_charge(chain) == (1.0, "saturated-discharge")
+        ploc, _ = simulate_trace(dist, chain.capacity, 10.0, 0.1, 10 ** 4,
+                                 np.random.default_rng(0))
+        assert ploc > 0.99
+
+    def test_positive_mean_that_only_drains_has_no_battery_size(self):
+        dist = NetEnergyDist.gaussian(0.1, 1.0)
+        assert size_battery(dist, [10.0], 1e-3, 0.1, s_max=20) is None
+
+    @pytest.mark.parametrize("mean, want", [
+        (50.0, (0.0, "saturated-charge")), (-50.0, (1.0, "saturated-discharge"))])
+    def test_closed_class_at_an_end_decides(self, mean, want):
+        chain = build_chain(NetEnergyDist.gaussian(mean, 1.0), 5, 1.0, 0.1)
+        assert resolve_loss_of_charge(chain) == want
+
+
 class TestSizing:
     def test_strong_positive_drift_minimal_battery(self):
         dist = NetEnergyDist.gaussian(10.0, 1.0)
@@ -201,6 +225,22 @@ class TestTrace:
                                    1.0, 0.1, 2, np.random.default_rng(0))
         assert ploc == 0.0
         assert np.array_equal(soc, [2000.0, 2000.0])
+
+    @pytest.mark.parametrize("idle", [False, True])
+    def test_non_finite_stream_is_rejected(self, idle):
+        bad = np.concatenate((np.full(20, np.nan), np.full(20, np.inf)))
+        good = np.zeros(40)
+        active, idle_source = (good, bad) if idle else (bad, None)
+        with pytest.raises(ValueError, match="non-finite net energies "
+                                             "inf, nan in 40 of 40 periods"):
+            simulate_trace(active, 100.0, 5.0, 0.1, 40,
+                           np.random.default_rng(0), idle_source=idle_source)
+
+    def test_non_finite_samples_are_rejected(self):
+        dist = NetEnergyDist(0.0, 1.0, cdf=lambda x: x,
+                             sampler=lambda rng, n: np.r_[np.zeros(n - 1), -np.inf])
+        with pytest.raises(ValueError, match="-inf in 1 of 50 periods"):
+            simulate_trace(dist, 100.0, 5.0, 0.1, 50, np.random.default_rng(0))
 
     def test_idle_source_engages_below_guard(self):
         # harsh active drain, generous idle recharge: the trace must bounce
@@ -270,8 +310,7 @@ def linear_size_battery(dist, delta_grid, target_ploc, gamma, s_max=200):
     best = None
     for delta in delta_grid:
         for s in range(2, s_max + 1):
-            ploc, _ = resolve_loss_of_charge(build_chain(dist, s, delta, gamma),
-                                             dist)
+            ploc, _ = resolve_loss_of_charge(build_chain(dist, s, delta, gamma))
             if ploc <= target_ploc:
                 candidate = BatterySizing(s, float(delta), float((s - 1) * delta))
                 if best is None or (candidate.capacity, candidate.delta) \

@@ -45,8 +45,7 @@ class TestRzfPrecoder:
     def test_single_user_matched_filter(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-        prec = rzf_precoder(h, p_total=0.1, noise_var=1e-11)
-        w = prec.W[:, 0]
+        w = rzf_precoder(h, p_total=0.1, noise_var=1e-11)[:, 0]
         assert np.isclose(np.linalg.norm(w) ** 2, 0.1)
         corr = np.abs(np.vdot(w, h[:, 0])) / (np.linalg.norm(w) * np.linalg.norm(h))
         assert np.isclose(corr, 1.0)
@@ -56,22 +55,25 @@ class TestRzfPrecoder:
         h = np.zeros((4, 2), dtype=complex)
         h[0, 0] = 2.0
         h[1, 1] = 2.0
-        prec = rzf_precoder(h, p_total=0.1, noise_var=1e-11)
-        norms = np.linalg.norm(prec.W, axis=0)
+        w = rzf_precoder(h, p_total=0.1, noise_var=1e-11)
+        norms = np.linalg.norm(w, axis=0)
         assert np.isclose(norms[0], norms[1])
-        assert np.abs(prec.W[0, 1]) < 1e-12 and np.abs(prec.W[1, 0]) < 1e-12
+        assert np.abs(w[0, 1]) < 1e-12 and np.abs(w[1, 0]) < 1e-12
 
     def test_table1_regularizer_value(self):
         rng = np.random.default_rng(2)
         h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        prec = rzf_precoder(h, p_total=0.1, noise_var=1e-11)
-        assert np.isclose(prec.regularizer, 4e-10)
+        w = rzf_precoder(h, p_total=0.1, noise_var=1e-11)
+        # mu = K * noise_var / P = 4 * 1e-11 / 0.1
+        x = np.linalg.solve(h @ h.conj().T + 4e-10 * np.eye(4), h)
+        assert np.allclose(w, np.sqrt(0.1) * x / np.linalg.norm(x),
+                           rtol=1e-12, atol=0.0)
 
     def test_frobenius_power_normalization(self):
         rng = np.random.default_rng(3)
         h = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-        prec = rzf_precoder(h, p_total=0.1, noise_var=1e-11)
-        assert np.isclose(np.linalg.norm(prec.W) ** 2, 0.1, rtol=1e-9)
+        w = rzf_precoder(h, p_total=0.1, noise_var=1e-11)
+        assert np.isclose(np.linalg.norm(w) ** 2, 0.1, rtol=1e-9)
 
 
 class TestEvaluate:

@@ -8,7 +8,6 @@ from hris_sim.energy import (ConsumptionModel, HarvesterModel,
                              frame_power, harvest, idle_harvest_fraction,
                              slot_harvest)
 from hris_sim.hris import HrisConfig
-from hris_sim.scenario import Scenario, ScenarioError
 
 DEFAULT_HARVESTER = HarvesterModel(a=0.01, b=6.642857142857143e-05,
                                    c=0.013285714285714286)
@@ -118,7 +117,7 @@ class TestFrameEnergy:
         assert self.active(traffic=0.0).harvested == 0.0
 
     def test_idle_fraction_hand_value(self):
-        nu = idle_harvest_fraction(8, 4, 0.5)
+        nu = idle_harvest_fraction(8, 4)
         assert abs(nu - 0.125 / np.pi ** 2) < 1e-12
 
     def test_harvest_formula_matches_hand_expansion(self):
@@ -151,10 +150,6 @@ class TestFrameEnergy:
         for i in range(3):
             one = frame_power(slot[i], counts[i], 0.5, 1e-4, 4.9e-3)
             assert power.net[i] == one.net
-
-    def test_ce_slot_required(self):
-        with pytest.raises(ScenarioError, match="n_ce_slots"):
-            Scenario(n_ce_slots=0)
 
 
 finite = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from hris_sim.battery import BatteryChain
 from hris_sim.channel import realize_channels
-from hris_sim.comm import LinkBudget, Precoder
+from hris_sim.comm import LinkBudget
 from hris_sim.energy import diode_count
 from hris_sim.geometry import Radio, array_response, planar
 from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile,
@@ -137,13 +137,12 @@ def test_configs_and_codebooks_compare_by_identity():
 @pytest.mark.parametrize("make", [
     lambda: BatteryChain(2, 1.0, np.eye(2), 0),
     lambda: realize_channels(Scenario(k_users=2), np.random.default_rng(0)),
-    lambda: Precoder(np.eye(2), 1.0, 0.1),
     lambda: LinkBudget(np.ones(2), 2.0, np.zeros(2)),
     lambda: planar((0.0, 0.0, 6.0), 2, 2, 0.005),
     lambda: PowerProfile(np.ones(3), 0.5),
     lambda: BatteryStats(np.ones(3), np.ones(3)),
     lambda: RunReport(sumrate_drops=np.ones(3)),
-], ids=["BatteryChain", "ChannelSet", "Precoder", "LinkBudget",
+], ids=["BatteryChain", "ChannelSet", "LinkBudget",
         "ArrayGeometry", "PowerProfile", "BatteryStats", "RunReport"])
 def test_array_holding_dataclasses_compare_by_identity(make):
     # the generated dataclass __eq__ raised on the array fields

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ def test_default_file_reproduces_reference_parameters():
     assert sc.codebook_size == 32
     assert sc.q_bits == 2
     assert sc.eta == 0.8
-    assert sc.period_s == 0.01
     assert sc.p_on_mw == 0.1
     assert (sc.chi_los, sc.chi_nlos) == (2.0, 4.0)
     assert sc.noise_dbm == -80.0
@@ -184,3 +185,52 @@ def test_numbers_in_float_fields_are_stored_as_floats():
     assert all(type(v) is float for v in floats)
     assert sc.capacity_sweep_mah == (100.0, 500.0)
     assert type(Scenario(nx=8).nx) is int
+
+
+# scenario files written while the frame period and the CE slot count were
+# fields: nothing read either, and both are dropped on load
+def _with_retired_fields(sc):
+    return {**sc.to_dict(), "period_s": 0.01, "n_ce_slots": 1}
+
+
+def test_retired_fields_load_with_one_warning(tmp_path, caplog):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps(_with_retired_fields(Scenario(seed=3))))
+    save_scenario(Scenario(seed=3), new)
+    with caplog.at_level(logging.WARNING, logger="hris_sim.scenario"):
+        assert load_scenario(old) == load_scenario(new)
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "n_ce_slots, period_s" in caplog.records[0].getMessage()
+
+
+def test_retired_fields_are_not_scenario_fields():
+    for name in ("period_s", "n_ce_slots"):
+        with pytest.raises(TypeError):
+            Scenario(**{name: 1})
+
+
+def test_cli_run_with_retired_fields_writes_the_same_bytes(tmp_path):
+    small = Scenario(n_drops=2, k_users=4, n_sweep=(16,), q_sweep=(1,),
+                     p_on_sweep_mw=(0.1,), capacity_sweep_mah=(100.0,),
+                     zeta_sweep=(0.5,), battery_trace_periods=100,
+                     soc_trace_periods=10)
+    (tmp_path / "old.json").write_text(json.dumps(_with_retired_fields(small)))
+    save_scenario(small, tmp_path / "new.json")
+    for name in ("old", "new"):
+        assert cli_main(["run", "--config", str(tmp_path / f"{name}.json"),
+                         "--experiment", "energy",
+                         "--out", str(tmp_path / f"out-{name}")]) == 0
+    written = sorted(p.name for p in (tmp_path / "out-new").iterdir())
+    assert "energy_drops.csv" in written and "scenario.json" in written
+    assert sorted(p.name for p in (tmp_path / "out-old").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "out-old" / name).read_bytes() == \
+            (tmp_path / "out-new" / name).read_bytes()
+    saved = json.loads((tmp_path / "out-old" / "scenario.json").read_text())
+    assert "period_s" not in saved and "n_ce_slots" not in saved
+
+
+@pytest.mark.parametrize("name", ["table1.json", "coverage.json"])
+def test_packaged_files_hold_exactly_the_scenario_fields(name):
+    data = json.loads(default_scenario_path().with_name(name).read_text())
+    assert set(data) == {f.name for f in dataclasses.fields(Scenario)}
