@@ -14,13 +14,100 @@ simulator of the same quantized process provides the empirical counterpart.
 """
 
 import bisect
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
+
+# Gaussian CDF: the Cephes ndtr of S. L. Moshier, "Methods and Programs for
+# Mathematical Functions" (1989), which scipy.special.ndtr also evaluates.
+# Same coefficients, branches and operation order, and libm's exp through
+# math.exp (np.exp rounds differently), so the results equal scipy's bit for
+# bit; tests/test_battery.py pins that.
+_SQRTH = 0.7071067811865476  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+# erf(w) = w * polevl(w^2, T) / p1evl(w^2, U) for |w| < 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
+          2.23200534594684319226e3, 7.00332514112805075473e3,
+          5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+          4.59432382970980127987e3, 2.26290000613890934246e4,
+          4.92673942608635921086e4)
+# erfc(z) = exp(-z^2) * polevl(z, P) / p1evl(z, Q) for 1 <= z < 8
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
+           7.46321056442269912687e0, 4.86371970985681366614e1,
+           1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3,
+           5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+           3.54937778887819891062e2, 9.75708501743205489753e2,
+           1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# ... and with polevl(z, R) / p1evl(z, S) for z >= 8
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
+           5.01905042251180477414e0, 6.16021097993053585195e0,
+           7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+           1.20489539808096656605e1, 1.70814450747565897222e1,
+           9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(x: np.ndarray, coef) -> np.ndarray:
+    """Horner's rule from coef[0], one multiply and one add per step."""
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x
+        y += c
+    return y
+
+
+def _p1evl(x: np.ndarray, coef) -> np.ndarray:
+    """:func:`_polevl` with an implied leading coefficient of 1."""
+    y = x + coef[0]
+    for c in coef[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _erf_small(w: np.ndarray) -> np.ndarray:
+    """erf(w) for |w| < 1."""
+    z = w * w
+    return w * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc_tail(z: np.ndarray) -> np.ndarray:
+    """erfc(z) for z >= sqrt(1/2) or NaN."""
+    out = np.zeros_like(z)
+    near = z < 1.0
+    out[near] = 1.0 - _erf_small(z[near])
+    # erfc underflows to 0 once z*z exceeds MAXLOG; NaN stays in the rest
+    rest = ~near & ~(-z * z < -_MAXLOG)
+    x = z[rest]
+    exp = np.fromiter(map(math.exp, (-x * x).tolist()), float, x.size)
+    mid = x < 8.0
+    p = np.where(mid, _polevl(x, _ERFC_P), _polevl(x, _ERFC_R))
+    q = np.where(mid, _p1evl(x, _ERFC_Q), _p1evl(x, _ERFC_S))
+    out[rest] = exp * p / q
+    return out
+
+
+def _ndtr(a) -> np.ndarray:
+    """Standard normal CDF, elementwise, equal to scipy.special.ndtr."""
+    x = np.asarray(a, dtype=float) * _SQRTH
+    z = np.abs(x)
+    y = np.empty_like(x)
+    with np.errstate(over="ignore"):  # -z*z = -inf lies past the underflow bound
+        small = z < _SQRTH
+        y[small] = 0.5 + 0.5 * _erf_small(x[small])
+        tail = ~small
+        y[tail] = 0.5 * _erfc_tail(z[tail])
+        upper = tail & (x > 0)
+        y[upper] = 1.0 - y[upper]
+    return y
 
 
 class ReducibleChainError(ValueError):
@@ -62,13 +149,16 @@ class NetEnergyDist:
     sampler: Callable
 
     def __post_init__(self):
+        for name in ("mean", "std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.std <= 0:
             raise ValueError("std must be positive")
 
     @classmethod
     def gaussian(cls, mean: float, std: float) -> "NetEnergyDist":
         return cls(mean=mean, std=std,
-                   cdf=lambda x: ndtr((x - mean) / std),
+                   cdf=lambda x: _ndtr((x - mean) / std),
                    sampler=lambda rng, n: rng.normal(mean, std, size=n))
 
     def sample(self, rng, n: int) -> np.ndarray:
@@ -103,6 +193,14 @@ def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
     ``dist.cdf`` is called once, on the 2S-1 grid points k*delta for k in
     [-(S-1), S-1].
     """
+    f_grid = dist.cdf(np.arange(-(n_states - 1), n_states) * delta)
+    return _assemble_chain(f_grid, n_states, delta, gamma)
+
+
+def _assemble_chain(f_grid, n_states: int, delta: float,
+                    gamma: float) -> BatteryChain:
+    """The chain of :func:`build_chain` from its CDF grid, f_grid[k + S-1] =
+    F(k*delta) for k in [-(S-1), S-1]."""
     if n_states < 2:
         raise ValueError("need at least two states")
     if delta <= 0:
@@ -110,22 +208,20 @@ def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
     s = n_states
-    # f_grid[k + S-1] = F(k*delta) for k in [-(S-1), S-1]
-    f_grid = np.asarray(dist.cdf(np.arange(-(s - 1), s) * delta), dtype=float)
+    f_grid = np.asarray(f_grid, dtype=float)
     steps = np.diff(f_grid)  # steps[k + S-1] = F((k+1)*delta) - F(k*delta)
     if np.any(steps < -1e-12) or np.any(f_grid < -1e-12) \
             or np.any(f_grid > 1 + 1e-12):
         raise ValueError("cdf is not monotone non-decreasing into [0, 1]")
-    rows = np.arange(s)
     psi = np.empty((s, s))
-    psi[:, 0] = f_grid[s - rows]  # F((1-i)*delta)
-    psi[:, s - 1] = 1.0 - f_grid[2 * s - 2 - rows]  # 1 - F((S-1-i)*delta)
-    # Toeplitz interior: psi[i, j] depends on j - i only
-    psi[:, 1:s - 1] = steps[rows[None, 1:s - 1] - rows[:, None] + (s - 1)]
+    psi[:, 0] = f_grid[s:0:-1]  # F((1-i)*delta)
+    psi[:, s - 1] = 1.0 - f_grid[2 * s - 2:s - 2:-1]  # 1 - F((S-1-i)*delta)
+    # Toeplitz interior: psi[i, j] = steps[j - i + S-1], row i a window from S-i
+    psi[:, 1:s - 1] = np.lib.stride_tricks.sliding_window_view(steps, s - 2)[s:0:-1]
     row_err = np.abs(psi.sum(axis=1) - 1.0).max()
     if row_err > 1e-12 or psi.min() < -1e-15:
         raise ValueError(f"transition matrix not stochastic (row error {row_err:.3e})")
-    psi = np.clip(psi, 0.0, None)
+    np.clip(psi, 0.0, None, out=psi)
     return BatteryChain(s, delta, psi, guard_state(s, gamma))
 
 
@@ -141,7 +237,8 @@ def _reaches_all(adj: np.ndarray) -> bool:
 def _closed_classes(psi: np.ndarray):
     """Communicating-class count and the closed classes, by smallest state."""
     s = len(psi)
-    reach = (psi > 0) | np.eye(s, dtype=bool)
+    reach = psi > 0
+    reach.flat[::s + 1] = True
     if _reaches_all(reach) and _reaches_all(reach.T):
         return 1, [list(range(s))]
     for k in range(s):  # Warshall closure
@@ -166,7 +263,8 @@ def stationary(chain: BatteryChain) -> np.ndarray:
     if n_comp > 1:
         raise ReducibleChainError(closed)
     s = chain.n_states
-    a = chain.psi.T - np.eye(s)
+    a = chain.psi.T.copy()
+    a.flat[::s + 1] -= 1.0
     a[-1, :] = 1.0  # replace one redundant balance row with normalization
     b = np.zeros(s)
     b[-1] = 1.0
@@ -248,7 +346,10 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
     p_LoC can rise with S only where the guard state floor(gamma*(S-1))
     steps up. So for each delta the search tests the last S of each run of
     equal guard in turn, and bisects within the first run whose last S meets
-    the target. Saturated-drift chains are resolved by
+    the target. ``dist.cdf`` is called once per delta, on the grid of S =
+    s_max; each chain is assembled from the centred slice that
+    :func:`build_chain` would compute, bit for bit, as the cdf is
+    elementwise. Saturated-drift chains are resolved by
     :func:`resolve_loss_of_charge`. Returns None when no grid point qualifies.
     """
     delta_grid = list(delta_grid)
@@ -257,18 +358,19 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
     if not 0.0 < target_ploc < 1.0:
         raise ValueError("target p_LoC must lie in (0, 1)")
 
-    def meets(s, delta):
-        chain = build_chain(dist, s, delta, gamma)
-        return resolve_loss_of_charge(chain)[0] <= target_ploc
-
     runs = [list(run) for _, run in groupby(
         range(2, s_max + 1), key=lambda s: guard_state(s, gamma))]
     found = []
     for delta in delta_grid:
+        f_grid = dist.cdf(np.arange(-(s_max - 1), s_max) * delta)
+
+        def meets(s):
+            chain = _assemble_chain(f_grid[s_max - s:s_max + s - 1], s, delta, gamma)
+            return resolve_loss_of_charge(chain)[0] <= target_ploc
+
         for run in runs:
-            if meets(run[-1], delta):
-                s = run[bisect.bisect_left(run, True, hi=len(run) - 1,
-                                           key=lambda s: meets(s, delta))]
+            if meets(run[-1]):
+                s = run[bisect.bisect_left(run, True, hi=len(run) - 1, key=meets)]
                 found.append(BatterySizing(s, float(delta), float((s - 1) * delta)))
                 break
     return min(found, key=lambda c: (c.capacity, c.delta), default=None)

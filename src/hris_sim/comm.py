@@ -34,8 +34,13 @@ def rzf_precoder(h_eff: np.ndarray, p_total: float, noise_var: float) -> np.ndar
         raise ValueError("total power must be positive")
     m, k = h_eff.shape
     mu = k * noise_var / p_total
-    x = np.linalg.solve(h_eff @ h_eff.conj().T + mu * np.eye(m), h_eff)
-    return np.sqrt(p_total) * x / np.linalg.norm(x)
+    gram = h_eff @ h_eff.conj().T
+    gram.flat[::m + 1] += mu
+    x = np.linalg.solve(gram, h_eff)
+    nrm = np.linalg.norm(x)
+    x *= np.sqrt(p_total)
+    x /= nrm
+    return x
 
 
 def evaluate(h_eff: np.ndarray, h_d: np.ndarray, w: np.ndarray,

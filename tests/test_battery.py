@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import linalg, sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from hris_sim import battery
@@ -73,6 +74,13 @@ class TestBuildChain:
                 assert np.isclose(chain.psi[i, j], expected, atol=1e-15)
             assert np.isclose(chain.psi[i, 0], dist.cdf((1 - i) * delta))
             assert np.isclose(chain.psi[i, 6], 1 - dist.cdf((6 - i) * delta))
+
+    @pytest.mark.parametrize("mean, std, name", [
+        (np.nan, 1.0, "mean"), (np.inf, 1.0, "mean"), (-np.inf, 1.0, "mean"),
+        (0.0, np.nan, "std"), (0.0, np.inf, "std")])
+    def test_non_finite_parameters_are_rejected(self, mean, std, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            NetEnergyDist.gaussian(mean, std)
 
 
 class TestStationary:
@@ -440,8 +448,58 @@ class TestVectorizedAgainstScalar:
         assert size_battery(dist, deltas, target, gamma, s_max) == \
             linear_size_battery(dist, deltas, target, gamma, s_max)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(-50.0, 50.0), st.floats(1e-3, 50.0), st.floats(1e-2, 10.0),
+           st.integers(2, 120), st.floats(-9.0, -0.5))
+    def test_sizing_chains_equal_build_chain(self, mean, std, delta, s_max,
+                                             log_target):
+        # size_battery assembles each chain from a slice of one CDF grid
+        dist = NetEnergyDist.gaussian(mean, std)
+        assemble = battery._assemble_chain
+        chains = []
+
+        def record(*args):
+            chains.append(assemble(*args))
+            return chains[-1]
+
+        with mock.patch.object(battery, "_assemble_chain", record):
+            size_battery(dist, [delta], 10.0 ** log_target, 0.1, s_max)
+        assert chains
+        for chain in chains:
+            want = build_chain(dist, chain.n_states, delta, 0.1).psi
+            assert np.array_equal(chain.psi.view(np.int64), want.view(np.int64))
+
+
+def assert_ndtr_equals_scipy(a):
+    """battery's Gaussian CDF equals scipy.special.ndtr bit for bit."""
+    got, want = battery._ndtr(a), ndtr(a)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
 
 class TestAgainstScipyReference:
+    @settings(deadline=None, max_examples=300)
+    @given(arrays(np.float64, st.integers(0, 50),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+    def test_ndtr_equals_scipy_bit_for_bit(self, a):
+        assert_ndtr_equals_scipy(a)
+
+    def test_ndtr_equals_scipy_around_branch_points(self):
+        # |a| = 1, sqrt 2 and 8 sqrt 2 switch approximations, and past
+        # sqrt(2 MAXLOG) erfc underflows; 0 is where the tail flips
+        points = (0.0, 1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0),
+                  np.sqrt(2.0 * battery._MAXLOG))
+        grids = []
+        for c in points:
+            for sign in (-1.0, 1.0):
+                grids += [sign * (c + np.spacing(c) * np.arange(-1000, 1001)),
+                          sign * np.linspace(c - 1e-3, c + 1e-3, 8001)]
+        a = np.concatenate(grids)
+        assert a.size > 50_000
+        assert_ndtr_equals_scipy(a)
+
     @settings(deadline=None, max_examples=300)
     @given(st.integers(1, 60),
            st.one_of(st.sampled_from((0.0, 0.01, 0.05, 1.0)), st.floats(0.0, 1.0)),
