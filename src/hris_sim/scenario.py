@@ -10,8 +10,8 @@ import dataclasses
 import json
 import logging
 import numbers
+import sys
 import typing
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -35,22 +35,22 @@ _SEQUENCES = {
     "k_sweep": (int, None), "n_sweep": (int, None), "q_sweep": (int, None),
     "p_on_sweep_mw": (float, None), "capacity_sweep_mah": (float, None),
     "zeta_sweep": (float, None)}
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string",
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                bool: "true or false", type(None): "null"}
 
 
 def _is_kind(kind, value) -> bool:
-    """Type rule of a scenario field: integers are numbers, booleans are not."""
+    """Type rule of a field: integers are numbers, booleans are not, numbers finite."""
     if kind is bool or isinstance(value, bool):
         return kind is bool and isinstance(value, bool)
     if kind is int:
         return isinstance(value, numbers.Integral)
     if kind is float:
-        return isinstance(value, numbers.Real)
+        return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
     return isinstance(value, kind)
 
 
-@dataclass
+@dataclasses.dataclass
 class Scenario:
     # transmit power and noise
     p_dbm: float = 20.0

@@ -1,15 +1,146 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hris_sim.channel import realize_channels
+from hris_sim import comm
+from hris_sim.channel import ChannelSet, realize_channels
 from hris_sim.comm import effective_channels, evaluate, rzf_precoder
-from hris_sim.hris import HrisConfig, idle_config, oracle_config
+from hris_sim.hris import REFLECTION, HrisConfig, idle_config, oracle_config
 from hris_sim.scenario import Scenario
 
 
 def random_channels(k_users=3, seed=0):
     sc = Scenario(k_users=k_users)
     return sc, realize_channels(sc, np.random.default_rng(seed))
+
+
+def reference_effective_channels(channels, theta, eta):
+    """effective_channels as it was before it assembled the result in place."""
+    if theta.branch != REFLECTION:
+        raise ValueError("effective channel needs a reflection-branch config")
+    reflected = channels.G.conj().T @ (theta.phases[:, None] * channels.h.T)
+    return channels.h_d.T + np.sqrt(eta) * reflected
+
+
+def reference_rzf_precoder(h_eff, p_total, noise_var):
+    """rzf_precoder as it was before it reused a Gram buffer."""
+    if p_total <= 0:
+        raise ValueError("total power must be positive")
+    m, k = h_eff.shape
+    mu = k * noise_var / p_total
+    gram = h_eff @ h_eff.conj().T
+    gram.flat[::m + 1] += mu
+    x = np.linalg.solve(gram, h_eff)
+    nrm = np.linalg.norm(x)
+    x *= np.sqrt(p_total)
+    x /= nrm
+    return x
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def draw(rng, shape, complex_):
+    x = rng.normal(size=shape)
+    return x + 1j * rng.normal(size=shape) if complex_ else x
+
+
+# (M, K, complex) triples, visited in one example so that a buffer kept from
+# one shape or dtype is reused, wrongly, by the next; K runs above M too
+SHAPES = st.lists(st.tuples(st.integers(1, 40), st.integers(1, 60),
+                            st.booleans()), min_size=2, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=SHAPES, seed=st.integers(0, 2 ** 32 - 1),
+       p_total=st.floats(1e-3, 1e3), noise_var=st.floats(1e-13, 1e-3))
+@example(shapes=[(40, 10, True), (40, 10, False), (40, 60, True),
+                 (7, 3, True), (40, 10, True), (1, 1, False)],
+         seed=0, p_total=0.1, noise_var=1e-11)
+def test_rzf_precoder_equals_reference_bit_for_bit(shapes, seed, p_total,
+                                                   noise_var):
+    rng = np.random.default_rng(seed)
+    cases = [draw(rng, (m, k), c) for m, k, c in shapes + shapes[::-1]]
+    got = [rzf_precoder(h, p_total, noise_var) for h in cases]
+    # checked once all calls are done: a result aliasing the buffer would
+    # have been overwritten by the calls after it
+    for h, w in zip(cases, got):
+        assert not np.shares_memory(w, comm._GRAM.buf)
+        assert_same_bits(w, reference_rzf_precoder(h, p_total, noise_var))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes=SHAPES, seed=st.integers(0, 2 ** 32 - 1),
+       direct_complex=st.booleans(), eta=st.floats(0.0, 1.0))
+def test_effective_channels_equal_reference_bit_for_bit(shapes, seed,
+                                                        direct_complex, eta):
+    rng = np.random.default_rng(seed)
+    for m, k, complex_ in shapes:
+        n = int(rng.integers(1, 33))
+        channels = ChannelSet(
+            G=draw(rng, (n, m), complex_), h=draw(rng, (k, n), complex_),
+            h_d=draw(rng, (k, m), complex_ or direct_complex),
+            los_bs_hris=True, los_hris_ue=np.ones(k, bool),
+            los_bs_ue=np.ones(k, bool), ue_positions=np.zeros((k, 3)),
+            a_r_bs=np.ones(n, complex))
+        theta = HrisConfig(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+        assert_same_bits(effective_channels(channels, theta, eta),
+                         reference_effective_channels(channels, theta, eta))
+
+
+def test_rzf_precoder_allocates_no_gram_matrix_per_call():
+    # numpy traces its array data, not the solve's own scratch (umath_linalg
+    # mallocs that directly), so a Gram allocated per call shows as a peak of
+    # at least one M x M complex array (256 KB at M = 128)
+    h = draw(np.random.default_rng(0), (128, 10), True)
+    rzf_precoder(h, 0.1, 1e-11)
+    tracemalloc.start()
+    try:
+        rzf_precoder(h, 0.1, 1e-11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 128 * 16 // 4
+
+
+def test_rzf_precoder_threads_keep_their_own_buffers():
+    # numpy releases the GIL inside matmul and solve, so threads sharing one
+    # Gram buffer would overwrite each other's; more threads than cores and a
+    # short switch interval make them interleave
+    rng = np.random.default_rng(1)
+    inputs = [draw(rng, (48, 12 + 6 * i), True) for i in range(4)]
+    serial = [reference_rzf_precoder(h, 0.1, 1e-11) for h in inputs]
+    start = threading.Barrier(len(inputs), timeout=30)
+    results = [[] for _ in inputs]
+
+    def work(i):
+        start.wait()
+        for _ in range(40):
+            results[i].append(rzf_precoder(inputs[i], 0.1, 1e-11))
+
+    threads = [threading.Thread(target=work, args=(i,))
+               for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, got in zip(serial, results):
+        assert len(got) == 40
+        for w in got:
+            assert_same_bits(w, want)
 
 
 class TestEffectiveChannels:

@@ -160,6 +160,28 @@ def test_wrong_field_type_is_a_config_error(tmp_path, capsys, name, bad):
     assert not (tmp_path / "out").exists()
 
 
+# JSON's NaN and Infinity load as floats: a NaN p_dbm ran sumrate to nan sum
+# rates with exit 0, and an infinite one exited 1 from a singular solve
+@pytest.mark.parametrize("name, bad", [
+    ("p_dbm", float("nan")), ("p_dbm", float("inf")), ("d0_m", float("-inf")),
+    ("probe_threshold_w", float("nan")), ("p_on_sweep_mw", [0.1, float("inf")]),
+    ("bs_position", [0.0, float("nan"), 6.0]),
+    pytest.param("capacity_mah", 10 ** 400, id="capacity_mah-10**400")])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, name, bad):
+    data = Scenario(n_drops=2, k_users=4, k_sweep=(4,), p_on_sweep_mw=(0.1,),
+                    battery_trace_periods=100, soc_trace_periods=10).to_dict()
+    data[name] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=f"{name}.*finite number"):
+        Scenario(**data)
+    rc = cli_main(["run", "--config", str(path), "--experiment", "sumrate",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, bad", [
     ("nx", True), ("nx", 8.0), ("seed", 1.5), ("eta", False), ("p_dbm", None),
     ("probe_threshold_w", "1e-9"), ("bs_hris_always_los", 1),
