@@ -93,7 +93,8 @@ def los_probability(tx, rx, field: BlockageField):
     # fraction of the ground track where the link is below blocker height
     hi = np.maximum(tx[..., 2], rx[..., 2])
     lo = np.minimum(tx[..., 2], rx[..., 2])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal height gap overflows the quotient to inf, which clips to 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         frac = np.where(hi == lo, (hi < field.blocker_height) * 1.0,
                         np.clip((field.blocker_height - lo) / (hi - lo), 0.0, 1.0))
     mean_blockers = field.density * field.blocker_diameter * d2d * frac

@@ -27,7 +27,8 @@ def ref_shadow_fraction(h_a, h_b, h_blocker):
     hi, lo = max(h_a, h_b), min(h_a, h_b)
     if hi == lo:
         return 1.0 if hi < h_blocker else 0.0
-    return min(1.0, max(0.0, (h_blocker - lo) / (hi - lo)))
+    with np.errstate(over="ignore"):  # a subnormal gap: inf, clipped to 1
+        return min(1.0, max(0.0, (h_blocker - lo) / (hi - lo)))
 
 
 def ref_los_probability(tx, rx, field):
@@ -152,6 +153,13 @@ class TestLosProbability:
 
     def test_both_endpoints_above_blockers(self):
         assert los_probability((0, 0, 6.0), (30, 0, 6.0), TABLE1_FIELD) == 1.0
+
+    # the quotient over a subnormal height gap overflowed with a
+    # RuntimeWarning, an error under pytest; the whole track is shadowed
+    def test_subnormal_height_gap_is_fully_shadowed(self):
+        p = los_probability((0, 0, 0.0), (20, 0, 2.2250738585e-313),
+                            TABLE1_FIELD)
+        assert np.isclose(p, np.exp(-0.3 * 0.6 * 20.0))
 
     def test_equal_low_heights_fully_shadowed(self):
         p = los_probability((0, 0, 1.0), (20, 0, 1.0), TABLE1_FIELD)
