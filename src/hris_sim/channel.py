@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Radio, array_response, planar, ula
+from .geometry import MIN_DISTANCE_M, Radio, array_response, planar, ula
 from .scenario import Scenario
 
 
@@ -71,7 +71,7 @@ def pathloss(p, q, model: PathlossModel, exponent):
     """
     diff = np.asarray(p, float) - np.asarray(q, float)
     dist = np.sqrt(np.vecdot(diff, diff))  # the bits of np.linalg.norm per row
-    if np.any(dist < 1e-15):
+    if np.any(dist < MIN_DISTANCE_M):
         raise ValueError("zero distance between link endpoints")
     gain = model.gamma0 * np.float_power(model.d0 / dist, exponent)
     return float(gain) if gain.ndim == 0 else gain

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 C0 = 299792458.0  # speed of light in vacuum, m/s (exact by SI definition)
+MIN_DISTANCE_M = 1e-15  # link endpoints closer than this coincide
 
 
 @dataclass
@@ -85,7 +86,7 @@ def wave_vector(p, q, wavelength: float) -> np.ndarray:
     """
     diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
     dist = np.sqrt(np.vecdot(diff, diff))
-    if np.any(dist < 1e-15):
+    if np.any(dist < MIN_DISTANCE_M):
         raise ValueError("degenerate link: endpoints coincide")
     return (2.0 * np.pi / wavelength) * diff / dist[..., None]
 

@@ -9,32 +9,25 @@ are exposed as properties.
 import dataclasses
 import json
 import logging
+import math
 import numbers
 import sys
 import typing
 from importlib import resources
 from pathlib import Path
 
-from .battery import mah_to_joules, states_for_capacity
+from .battery import mah_to_joules
+from .geometry import MIN_DISTANCE_M
 
 log = logging.getLogger(__name__)
+
+MAX_BATTERY_STATES = 2000  # one S x S float64 chain matrix is then 32 MB
 
 
 class ScenarioError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
 
-def _tuple(value):
-    return tuple(value) if isinstance(value, (list, tuple)) else value
-
-
-# list-valued fields: the type of their entries and their length when fixed
-_SEQUENCES = {
-    "bs_position": (float, 3), "hris_position": (float, 3),
-    "area_min": (float, 2), "area_max": (float, 2), "schemes": (str, None),
-    "k_sweep": (int, None), "n_sweep": (int, None), "q_sweep": (int, None),
-    "p_on_sweep_mw": (float, None), "capacity_sweep_mah": (float, None),
-    "zeta_sweep": (float, None)}
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                bool: "true or false", type(None): "null"}
 
@@ -50,188 +43,146 @@ def _is_kind(kind, value) -> bool:
     return isinstance(value, kind)
 
 
+def _dbm_to_watts(dbm: float) -> float:
+    try:
+        return 10.0 ** (dbm / 10.0) / 1000.0
+    except OverflowError:
+        return math.inf
+
+
+# range rules: a test of one value and the words that state it
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_FRACTION = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_POWER_DBM = (lambda v: 0 < _dbm_to_watts(v) < math.inf, "a finite, positive power")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, " or ".join(map(repr, choices)))
+
+
+def _rule(default, rule=None, of=None):
+    """A field's default and range rule; a sweep takes those of field ``of``."""
+    return dataclasses.field(default=default, metadata={"rule": rule, "of": of})
+
+
 @dataclasses.dataclass
 class Scenario:
     # transmit power and noise
-    p_dbm: float = 20.0
-    noise_dbm: float = -80.0
-    fc_ghz: float = 28.0
-    eta: float = 0.8  # fraction of impinging power reflected; 1-eta absorbed
+    p_dbm: float = _rule(20.0, _POWER_DBM)
+    noise_dbm: float = _rule(-80.0, _POWER_DBM)
+    fc_ghz: float = _rule(28.0, _POSITIVE)
+    eta: float = _rule(0.8, _FRACTION)  # share reflected; 1-eta absorbed
 
     # arrays
-    m_bs_antennas: int = 4
-    nx: int = 8
-    nz: int = 4
+    m_bs_antennas: int = _rule(4, _AT_LEAST_1)
+    nx: int = _rule(8, _AT_LEAST_1)
+    nz: int = _rule(4, _AT_LEAST_1)
 
     # placement (meters); UEs drawn uniformly over [area_min, area_max] x-y box
-    bs_position: tuple = (-25.0, 25.0, 6.0)
-    hris_position: tuple = (0.0, 0.0, 6.0)
-    area_min: tuple = (-25.0, 0.0)
-    area_max: tuple = (25.0, 50.0)
+    bs_position: tuple[float, float, float] = (-25.0, 25.0, 6.0)
+    hris_position: tuple[float, float, float] = (0.0, 0.0, 6.0)
+    area_min: tuple[float, float] = (-25.0, 0.0)
+    area_max: tuple[float, float] = (25.0, 50.0)
     ue_height_m: float = 1.5
 
     # pathloss and blockage
-    gamma0: float = 1.0
-    d0_m: float = 1.0
-    chi_los: float = 2.0
-    chi_nlos: float = 4.0
-    blocker_density_per_m2: float = 0.3
-    blocker_height_m: float = 1.8
-    blocker_diameter_m: float = 0.6
-    blockage_mode: str = "analytic"  # or "sampled"
+    gamma0: float = _rule(1.0, _POSITIVE)
+    d0_m: float = _rule(1.0, _POSITIVE)
+    chi_los: float = _rule(2.0, _NON_NEGATIVE)
+    chi_nlos: float = _rule(4.0, _NON_NEGATIVE)
+    blocker_density_per_m2: float = _rule(0.3, _NON_NEGATIVE)
+    blocker_height_m: float = _rule(1.8, _POSITIVE)
+    blocker_diameter_m: float = _rule(0.6, _POSITIVE)
+    blockage_mode: str = _rule("analytic", _one_of("analytic", "sampled"))
     bs_hris_always_los: bool = True  # both ends elevated above blockers
 
     # probing codebook
-    codebook_size: int = 32
-    q_bits: int = 2
+    codebook_size: int = _rule(32, _AT_LEAST_1)
+    q_bits: int = _rule(2, _AT_LEAST_1)
     probe_threshold_w: float | None = None  # None -> 2x median of the sweep
-    combining: str = "soft"  # peak combining: "soft" (power-weighted) or "hard"
+    combining: str = _rule("soft", _one_of("soft", "hard"))  # soft: power-weighted
 
     # frame layout and traffic
-    n_dl_slots: int = 8
-    n_ul_slots: int = 3
-    traffic: float = 0.5  # duty factor applied to harvesting opportunities
+    n_dl_slots: int = _rule(8, _NON_NEGATIVE)
+    n_ul_slots: int = _rule(3, _NON_NEGATIVE)
+    traffic: float = _rule(0.5, _FRACTION)  # duty factor on harvesting
 
     # hardware power
-    p_on_mw: float = 0.1
-    controller_run_mw: float = 4.9
-    controller_idle_mw: float = 1.8
+    p_on_mw: float = _rule(0.1, _NON_NEGATIVE)
+    controller_run_mw: float = _rule(4.9, _NON_NEGATIVE)
+    controller_idle_mw: float = _rule(1.8, _NON_NEGATIVE)
     # harvester in/out fit constants; defaults give f(0)=0, ~5 mW saturation
     # and ~35% conversion efficiency at 1 mW input
     harvester_a_w: float = 0.01
     harvester_b_w: float = 6.642857142857143e-05
-    harvester_c_w: float = 0.013285714285714286
+    harvester_c_w: float = _rule(0.013285714285714286, _POSITIVE)
 
     # battery
-    capacity_mah: float = 400.0
-    delta_mah: float = 20.0
-    guard_fraction: float = 0.1
-    battery_voltage: float = 3.7
-    mc_step_s: float = 604800.0  # net-energy aggregation window per chain step
-    battery_trace_periods: int = 1000000
-    soc_trace_periods: int = 2000
+    capacity_mah: float = _rule(400.0, _POSITIVE)
+    delta_mah: float = _rule(20.0, _POSITIVE)
+    guard_fraction: float = _rule(0.1, (lambda v: 0 <= v < 1, "in [0, 1)"))
+    battery_voltage: float = _rule(3.7, _POSITIVE)
+    mc_step_s: float = _rule(604800.0, _POSITIVE)  # net-energy window per step
+    battery_trace_periods: int = _rule(1000000, _AT_LEAST_1)
+    soc_trace_periods: int = _rule(2000, _AT_LEAST_1)
 
     # experiment control
-    k_users: int = 75
-    n_drops: int = 100
-    seed: int = 1
-    schemes: tuple = ("idle", "oracle-equal-gain", "oracle-weighted",
-                      "probe-q1", "probe-q2")
-    k_sweep: tuple = (10, 25, 50, 75)
-    n_sweep: tuple = (16, 32, 64)
-    q_sweep: tuple = (1, 2)
-    p_on_sweep_mw: tuple = (0.1, 0.3, 0.5, 1.0)
-    capacity_sweep_mah: tuple = (100.0, 200.0, 300.0, 400.0,
-                                 500.0, 600.0, 700.0, 800.0)
-    zeta_sweep: tuple = (0.2, 0.5, 0.8)
+    k_users: int = _rule(75, _AT_LEAST_1)
+    n_drops: int = _rule(100, _AT_LEAST_1)
+    seed: int = _rule(1, _NON_NEGATIVE)
+    schemes: tuple[str, ...] = ("idle", "oracle-equal-gain", "oracle-weighted",
+                                "probe-q1", "probe-q2")
+    k_sweep: tuple = _rule((10, 25, 50, 75), of="k_users")
+    n_sweep: tuple[int, ...] = _rule((16, 32, 64), _AT_LEAST_1)
+    q_sweep: tuple = _rule((1, 2), of="q_bits")
+    p_on_sweep_mw: tuple = _rule((0.1, 0.3, 0.5, 1.0), of="p_on_mw")
+    capacity_sweep_mah: tuple = _rule((100.0, 200.0, 300.0, 400.0, 500.0,
+                                       600.0, 700.0, 800.0), of="capacity_mah")
+    zeta_sweep: tuple = _rule((0.2, 0.5, 0.8), of="traffic")
 
     def __post_init__(self):
-        for name in _SEQUENCES:
-            setattr(self, name, _tuple(getattr(self, name)))
-        self._check_types()
-        # an integer in a float field would print as one in the CSVs, so
-        # equal scenarios would write different bytes
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if _SEQUENCES.get(f.name, (None,))[0] is float:
-                setattr(self, f.name, tuple(map(float, value)))
-            elif f.type in (float, float | None) and value is not None:
-                setattr(self, f.name, float(value))
+        for name, spec in _RULES.items():
+            setattr(self, name, _checked(name, *spec, getattr(self, name)))
         self._validate()
 
-    def _check_types(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            kinds = typing.get_args(f.type) or (f.type,)  # float | None
-            if f.name in _SEQUENCES:
-                kind, length = _SEQUENCES[f.name]
-                if not isinstance(value, tuple) \
-                        or length not in (None, len(value)):
-                    size = f" of {length} entries" if length else ""
-                    raise ScenarioError(f"{f.name} must be a list{size}, "
-                                        f"got {value!r}")
-                for entry in value:
-                    if not _is_kind(kind, entry):
-                        raise ScenarioError(f"{f.name} entry {entry!r} must be "
-                                            f"{_KIND_NAMES[kind]}")
-            elif not any(_is_kind(kind, value) for kind in kinds):
-                expected = " or ".join(_KIND_NAMES[kind] for kind in kinds)
-                raise ScenarioError(f"{f.name} must be {expected}, got {value!r}")
-
     def _validate(self):
+        """Rules that tie fields together; each message names every field."""
         def require(cond, msg):
             if not cond:
                 raise ScenarioError(msg)
 
-        require(self.fc_ghz > 0, "fc_ghz must be positive")
-        require(self.m_bs_antennas >= 1, "m_bs_antennas must be >= 1")
-        require(self.nx >= 1 and self.nz >= 1, "nx and nz must be >= 1")
-        require(0.0 <= self.eta <= 1.0, "eta must lie in [0, 1]")
-        require(0.0 <= self.traffic <= 1.0, "traffic must lie in [0, 1]")
-        require(0.0 <= self.guard_fraction < 1.0,
-                "guard_fraction must lie in [0, 1)")
-        require(self.gamma0 > 0 and self.d0_m > 0,
-                "gamma0 and d0_m must be positive")
-        require(0 <= self.chi_los <= self.chi_nlos,
-                "need 0 <= chi_los <= chi_nlos")
-        require(self.blocker_density_per_m2 >= 0, "blocker density must be >= 0")
-        require(self.blocker_height_m > 0 and self.blocker_diameter_m > 0,
-                "blocker dimensions must be positive")
-        require(self.blockage_mode in ("analytic", "sampled"),
-                f"unknown blockage_mode {self.blockage_mode!r}")
-        require(self.codebook_size >= 1, "codebook_size must be >= 1")
-        require(self.q_bits >= 1, "q_bits must be >= 1")
-        require(self.combining in ("soft", "hard"),
-                f"unknown combining {self.combining!r}")
-        require(self.n_dl_slots >= 0 and self.n_ul_slots >= 0,
-                "slot counts must be >= 0")
-        require(self.p_on_mw >= 0, "p_on_mw must be >= 0")
-        require(self.controller_run_mw >= 0 and self.controller_idle_mw >= 0,
-                "controller powers must be >= 0")
-        require(self.harvester_c_w > 0, "harvester_c_w must be positive")
+        require(self.chi_los <= self.chi_nlos, "need chi_los <= chi_nlos")
         require(self.harvester_a_w * self.harvester_c_w >= self.harvester_b_w,
-                "harvester law must be non-decreasing (a*c >= b)")
-        require(self.capacity_mah > 0 and self.delta_mah > 0,
-                "capacity_mah and delta_mah must be positive")
-        require(self.battery_voltage > 0, "battery_voltage must be positive")
-        require(self.mc_step_s > 0, "mc_step_s must be positive")
-        require(self.battery_trace_periods >= 1 and self.soc_trace_periods >= 1,
-                "trace lengths must be >= 1")
-        require(self.k_users >= 1, "k_users must be >= 1")
-        require(self.n_drops >= 1, "n_drops must be >= 1")
-        require(self.seed >= 0, "seed must be a non-negative integer")
-        require(self.probe_threshold_w is None or self.probe_threshold_w >= 0,
-                "probe_threshold_w must be >= 0 or null")
-        # every sweep entry follows the rule of its scalar field
-        for name, ok, rule in (
-                ("k_sweep", lambda k: k >= 1, ">= 1"),
-                ("n_sweep", lambda n: n >= self.nx and n % self.nx == 0,
-                 f"a positive multiple of nx={self.nx}"),
-                ("q_sweep", lambda q: q >= 1, ">= 1"),
-                ("p_on_sweep_mw", lambda p: p >= 0, ">= 0"),
-                ("capacity_sweep_mah", lambda c: c > 0, "positive"),
-                ("zeta_sweep", lambda z: 0.0 <= z <= 1.0, "in [0, 1]")):
-            for value in getattr(self, name):
-                require(ok(value), f"{name} entry {value} must be {rule}")
-        # a chain needs two states, counted as the battery experiment counts
-        # them: round(C/delta) + 1 in Joules, so C = delta/2 gives one
+                "need harvester_a_w * harvester_c_w >= harvester_b_w")
+        require(all(lo <= hi for lo, hi in zip(self.area_min, self.area_max)),
+                "need area_min <= area_max on both axes")
+        require(math.dist(self.bs_position, self.hris_position)
+                >= MIN_DISTANCE_M, "bs_position and hris_position coincide")
+        require(self.probe_threshold_w is None
+                or self.probe_threshold_w >= self.noise_watts,
+                "probe_threshold_w must be null or >= the power of noise_dbm")
+        require(all(n % self.nx == 0 for n in self.n_sweep),
+                f"n_sweep {self.n_sweep} entries must be multiples of nx={self.nx}")
+        # S = round(C/delta) + 1 in Joules, bounded before C/delta is rounded
         delta_j = mah_to_joules(self.delta_mah, self.battery_voltage)
-        for name, values in (("capacity_mah", (self.capacity_mah,)),
-                             ("capacity_sweep_mah", self.capacity_sweep_mah)):
-            for value in values:
-                n = states_for_capacity(
-                    mah_to_joules(value, self.battery_voltage), delta_j)
-                require(n >= 2, f"{name} {value} gives {n} battery state at "
-                        f"delta_mah={self.delta_mah}; need at least 2")
+        for name, c in (("capacity_mah", self.capacity_mah), *(
+                ("capacity_sweep_mah", c) for c in self.capacity_sweep_mah)):
+            ratio = mah_to_joules(c, self.battery_voltage) / delta_j \
+                if delta_j > 0 else math.inf
+            require(0.5 < ratio < MAX_BATTERY_STATES - 0.5,
+                    f"{name} {c} gives no battery state count S in [2, "
+                    f"{MAX_BATTERY_STATES}] at delta_mah and battery_voltage")
 
     # --- derived SI quantities -------------------------------------------
     @property
     def p_watts(self) -> float:
-        return 10.0 ** (self.p_dbm / 10.0) / 1000.0
+        return _dbm_to_watts(self.p_dbm)
 
     @property
     def noise_watts(self) -> float:
-        return 10.0 ** (self.noise_dbm / 10.0) / 1000.0
+        return _dbm_to_watts(self.noise_dbm)
 
     @property
     def fc_hz(self) -> float:
@@ -258,7 +209,40 @@ class Scenario:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
-_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Scenario))
+def _checked(label, kinds, length, rule, value):
+    """``value``, or each entry of a list of ``length``, if of one of ``kinds``
+    and within ``rule``; floats are stored as such, as CSV bytes depend on it."""
+    if length is not None:
+        if not isinstance(value, (list, tuple)) or length not in (..., len(value)):
+            size = "" if length is ... else f" of {length} entries"
+            raise ScenarioError(f"{label} must be a list{size}, got {value!r}")
+        return tuple(_checked(f"{label} entry", kinds, None, rule, v) for v in value)
+    kind = next((k for k in kinds if _is_kind(k, value)), None)
+    if kind is None:
+        expected = " or ".join(_KIND_NAMES[k] for k in kinds)
+        raise ScenarioError(f"{label} {value!r} must be {expected}")
+    if kind is float:
+        value = float(value)
+    if rule and value is not None and not rule[0](value):
+        raise ScenarioError(f"{label} {value!r} must be {rule[1]}")
+    return value
+
+
+def _rule_table() -> dict:
+    """name -> (kinds, list length: None for a scalar or ... for any, rule)."""
+    fields = {f.name: f for f in dataclasses.fields(Scenario)}
+    table = {}
+    for f in fields.values():
+        own = fields.get(f.metadata.get("of"), f)  # a sweep's scalar
+        kinds = typing.get_args(own.type) or (own.type,)  # float | None
+        length = None if own is f else ...
+        if typing.get_origin(f.type) is tuple:  # tuple[float, float]
+            kinds, length = kinds[:1], ... if ... in kinds else len(kinds)
+        table[f.name] = (kinds, length, own.metadata.get("rule"))
+    return table
+
+
+_RULES = _rule_table()
 _RETIRED = ("n_ce_slots", "period_s")  # in older files; read by nothing
 
 
@@ -268,10 +252,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     if retired:
         log.warning("ignoring retired scenario field(s) %s", ", ".join(retired))
         data = {k: v for k, v in data.items() if k not in _RETIRED}
-    unknown = sorted(set(data) - set(_FIELD_NAMES))
+    unknown = sorted(set(data) - set(_RULES))
     if unknown:
         raise ScenarioError(f"unknown field {unknown[0]!r} in scenario config")
-    missing = sorted(set(_FIELD_NAMES) - set(data))
+    missing = sorted(set(_RULES) - set(data))
     if missing:
         raise ScenarioError(f"missing required field {missing[0]!r} in scenario config")
     return Scenario(**data)

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hris_sim.channel import (BlockageField, ChannelSet, PathlossModel,
                               los_probability, pathloss, realize_channels,
                               simulate_blockage)
-from hris_sim.geometry import Radio, array_response, planar, ula, wave_vector
+from hris_sim.geometry import (MIN_DISTANCE_M, Radio, array_response, planar,
+                               ula, wave_vector)
 from hris_sim.scenario import Scenario
 
 TABLE1_FIELD = BlockageField(density=0.3, blocker_height=1.8, blocker_diameter=0.6)
@@ -317,6 +320,7 @@ class TestStackedHelpers:
 def test_realize_channels_matches_scalar_reference(
         k, m, nx, nz, bs, hris, corner, size, ue_height, density, chi, mode,
         always, seed):
+    assume(math.dist(bs, hris) >= MIN_DISTANCE_M)  # Scenario rejects it
     sc = Scenario(k_users=k, m_bs_antennas=m, nx=nx, nz=nz, n_sweep=(nx,),
                   bs_position=bs, hris_position=hris, area_min=corner,
                   area_max=(corner[0] + size[0], corner[1] + size[1]),

@@ -1,13 +1,21 @@
 import dataclasses
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hris_sim.cli import main as cli_main
 from hris_sim.scenario import (Scenario, ScenarioError, default_scenario_path,
                                load_scenario, save_scenario, scenario_from_dict)
+
+_SMALL = Scenario(n_drops=2, k_users=4, k_sweep=(4,), n_sweep=(16,),
+                  q_sweep=(1,), p_on_sweep_mw=(0.1,),
+                  capacity_sweep_mah=(100.0,), zeta_sweep=(0.5,),
+                  battery_trace_periods=100, soc_trace_periods=10)
 
 
 def test_default_file_reproduces_reference_parameters():
@@ -107,10 +115,7 @@ def test_validation_errors():
     ("capacity_sweep_mah", [-100.0]), ("p_on_sweep_mw", [-1.0]),
     ("zeta_sweep", [2.0])])
 def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
-    data = Scenario(n_drops=2, k_users=4, k_sweep=(4,), n_sweep=(16,),
-                    q_sweep=(1,), p_on_sweep_mw=(0.1,),
-                    capacity_sweep_mah=(100.0,), zeta_sweep=(0.5,),
-                    battery_trace_periods=100, soc_trace_periods=10).to_dict()
+    data = _SMALL.to_dict()
     data[name] = bad
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -121,13 +126,21 @@ def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
     assert not (tmp_path / "out").exists()
 
 
-# a one-state battery exited 1 with a traceback from build_chain after the
-# whole drop sweep; 10 mAh is half a step and rounds to even, to one state
-@pytest.mark.parametrize("name, bad", [("capacity_sweep_mah", [5.0]),
-                                       ("capacity_sweep_mah", [100.0, 10.0]),
-                                       ("capacity_mah", 10.0)])
-def test_one_state_capacity_is_a_config_error(tmp_path, capsys, monkeypatch,
-                                              name, bad):
+# each case exited 1 with a traceback: a one-state battery from build_chain
+# after the whole drop sweep (10 mAh is half a step and rounds to even, to one
+# state), the others in the range checks, at the first drop or at chain assembly
+@pytest.mark.parametrize("name, bad", [
+    ("capacity_sweep_mah", [5.0]), ("capacity_sweep_mah", [100.0, 10.0]),
+    ("capacity_mah", 10.0), ("capacity_mah", 1e308),
+    ("capacity_sweep_mah", [1e308]), ("capacity_sweep_mah", [1e6]),
+    ("delta_mah", 1e-300), ("battery_voltage", 1e308),
+    ("probe_threshold_w", 0.0), ("probe_threshold_w", 1e-300),
+    ("area_min", [30.0, 0.0]), ("area_max", [25.0, -1.0]),
+    ("hris_position", [-25.0, 25.0, 6.0]),
+    ("p_dbm", 1e308), ("p_dbm", -1e308), ("noise_dbm", 1e6),
+    ("noise_dbm", -1e308)])
+def test_unrunnable_scenario_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                               name, bad):
     import hris_sim.runner as runner
 
     def no_drop(*args):
@@ -192,6 +205,30 @@ def test_wrong_field_type_rejected(field, bad):
         Scenario(**{field: bad})
 
 
+EDGES = (0, 1, -1, 1e-300, -1e-300, 1e308, -1e308, 10 ** 400, math.nan,
+         math.inf, -math.inf)
+
+
+# property-based (MacIver et al., "Hypothesis: A new approach to
+# property-based testing", JOSS 4(43), 2019): one field, or one entry of a
+# list field, set to an edge value either constructs or fails as a config
+# error naming that field, never as another exception
+@settings(deadline=None, max_examples=400)
+@given(name=st.sampled_from([f.name for f in dataclasses.fields(Scenario)]),
+       edge=st.sampled_from(EDGES), data=st.data())
+def test_edge_value_constructs_or_names_its_field(name, edge, data):
+    values = _SMALL.to_dict()
+    value = values[name]
+    if isinstance(value, list):
+        value[data.draw(st.integers(0, len(value) - 1))] = edge
+    else:
+        value = edge
+    try:
+        Scenario(**{**values, name: value})
+    except ScenarioError as exc:
+        assert name in str(exc)
+
+
 def test_numpy_scalars_and_integers_for_numbers_accepted():
     sc = Scenario(nx=np.int64(8), p_dbm=20, eta=np.float64(0.8),
                   k_sweep=[np.int64(10)], probe_threshold_w=None)
@@ -199,7 +236,7 @@ def test_numpy_scalars_and_integers_for_numbers_accepted():
 
 
 def test_numbers_in_float_fields_are_stored_as_floats():
-    sc = Scenario(p_dbm=20, eta=np.float64(0.8), probe_threshold_w=0,
+    sc = Scenario(p_dbm=20, eta=np.float64(0.8), probe_threshold_w=1,
                   capacity_mah=400, bs_position=(-25, 25, 6),
                   capacity_sweep_mah=[100, 0.5e3], zeta_sweep=(1, 0.5))
     floats = (sc.p_dbm, sc.eta, sc.probe_threshold_w, sc.capacity_mah,
