@@ -376,50 +376,80 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
     return min(found, key=lambda c: (c.capacity, c.delta), default=None)
 
 
-def _per_period_steps(source, delta: float, n_periods: int, rng) -> np.ndarray:
-    """floor(dE / delta) per period, as floats; non-finite dE raise."""
+_CHUNK = 2 ** 18  # periods per chunk of a streamed trace
+
+
+def _state_dtype(top: int):
+    """int32 states when top < 2**30: a state plus a step stays in [-top, 2*top]."""
+    return np.int32 if top < 2 ** 30 else np.int64
+
+
+def _step_chunks(source, delta: float, top: int, n_periods: int, rng):
+    """Yield (offset, steps) over the trace, up to _CHUNK periods at a time.
+
+    ``source`` is a NetEnergyDist, drawn with ``sample(rng, k)`` per chunk
+    (chunked draws equal one draw), or an array of net energies, sliced. The
+    steps floor(dE/delta), clipped to [-top, top] (which changes no state),
+    are floats in one reused buffer that the next chunk overwrites.
+    Non-finite energies raise a ValueError naming them, counted over the
+    whole trace.
+    """
     if isinstance(source, NetEnergyDist):
-        values = source.sample(rng, n_periods)
+        def energies(start, stop):
+            return source.sample(rng, stop - start)
     else:
         values = np.asarray(source, dtype=float)
         if values.size < n_periods:
             raise ValueError("energy stream shorter than the requested trace")
-        values = values[:n_periods]
-    if not np.isfinite(values).all():
-        bad = values[~np.isfinite(values)]
-        raise ValueError(f"non-finite net energies {', '.join(map(str, np.unique(bad)))}"
-                         f" in {bad.size} of {values.size} periods")
-    quotient = values / delta
-    return np.floor(quotient, out=quotient)
+
+        def energies(start, stop):
+            return values[start:stop]
+    size = min(_CHUNK, n_periods)
+    quotient = np.empty(size)
+    for start in range(0, n_periods, size):
+        stop = min(start + size, n_periods)
+        chunk = energies(start, stop)
+        if not np.isfinite(chunk).all():
+            bad = np.concatenate([e[~np.isfinite(e)] for e in (chunk, *(
+                energies(a, min(a + size, n_periods))
+                for a in range(stop, n_periods, size)))])
+            raise ValueError(f"non-finite net energies {', '.join(map(str, np.unique(bad)))}"
+                             f" in {bad.size} of {n_periods} periods")
+        steps = np.divide(chunk, delta, out=quotient[:stop - start])
+        del chunk  # a draw held across the yield would double its memory
+        np.floor(steps, out=steps)
+        yield start, np.clip(steps, -top, top, out=steps)
 
 
 _BLOCK = 16  # maps per block of the scan
 
 
 def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
-                  top: int) -> np.ndarray:
+                  top: int, out: np.ndarray | None = None,
+                  rows: np.ndarray | None = None) -> np.ndarray:
     """The states of the walk x -> min(max(x + steps[t], lo[t]), hi[t]) from
     ``start``, exactly, by a recursive scan over composed clamp maps.
 
-    ``bounds`` holds lo and hi as a (2, n) array, or is None for (0, top).
-    Steps are clipped to [-top, top] in place, which changes no state. Row
-    k of the (_BLOCK, n_blocks) copy holds position k of every block, so
-    each vector update reads contiguous memory. One sweep down the rows
+    ``steps`` lie in [-top, top]. ``bounds`` holds lo and hi as a (2, n)
+    array, or is None for (0, top). The states go into ``out``, and ``rows``
+    is scratch of at least n states; each is allocated when None. Row k of
+    the (_BLOCK, n_blocks) copy in ``rows`` holds position k of every block,
+    so each vector update reads contiguous memory. One sweep down the rows
     walks every block from 0 and from top: the lo and hi of its composed
     map, whose step is the block sum. This function walks the block maps
     from ``start``, and a second sweep replays each block from its start.
-    The last level and the trailing maps take a scalar loop. States are
-    int32 when top < 2**30: a state plus a step stays in [-top, 2*top].
+    The last level and the trailing maps take a scalar loop.
     """
-    np.clip(steps, -top, top, out=steps)
     b = _BLOCK
     n_blocks = steps.size // b
     n_body = n_blocks * b
-    dtype = np.int32 if top < 2 ** 30 else np.int64
-    out = np.empty(steps.size, dtype)
+    dtype = _state_dtype(top)
+    if out is None:
+        out = np.empty(steps.size, dtype)
     x = start
     if n_blocks:
-        rows = np.empty((b, n_blocks), dtype)
+        rows = (np.empty(n_body, dtype) if rows is None
+                else rows[:n_body]).reshape(b, n_blocks)
         body = steps[:n_body].reshape(n_blocks, b)
         for j in range(0, n_blocks, 1024):  # a cache-sized chunk at a time
             rows[:, j:j + 1024] = body[j:j + 1024].T
@@ -437,6 +467,7 @@ def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
                 x = y
 
         sums = rows.sum(axis=0, dtype=np.int64)
+        np.clip(sums, -top, top, out=sums)  # as steps: this changes no state
         lo_hi = span.copy()
         sweep(lo_hi, write=False)
         ends = _clamped_walk(sums, lo_hi, start, top)  # state after each block
@@ -453,6 +484,48 @@ def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
     return out
 
 
+def _walk_chunks(source, delta: float, top: int, n_periods: int, rng,
+                 state: int, out: np.ndarray | None = None):
+    """Yield (offset, states) of the clamped walk from ``state`` over the
+    steps of :func:`_step_chunks`, the state carried from chunk to chunk.
+    The states go into ``out`` when given, else into one reused buffer that
+    the next chunk overwrites."""
+    size = min(_CHUNK, n_periods)
+    dtype = _state_dtype(top)
+    buf = np.empty(size, dtype) if out is None else None
+    rows = np.empty(size, dtype)
+    for start, steps in _step_chunks(source, delta, top, n_periods, rng):
+        states = out[start:start + steps.size] if buf is None else buf[:steps.size]
+        _clamped_walk(steps, None, state, top, states, rows)
+        state = int(states[-1])
+        yield start, states
+
+
+def _trace_limits(capacity: float, delta: float, gamma: float, n_periods: int,
+                  burn_in: int) -> tuple[int, int]:
+    """(guard state, top state) of a trace, after checking its period counts."""
+    if n_periods < 1:
+        raise ValueError("n_periods must be >= 1")
+    if not 0 <= burn_in < n_periods:
+        raise ValueError("burn_in must lie in [0, n_periods)")
+    s = states_for_capacity(capacity, delta)
+    return guard_state(s, gamma), s - 1
+
+
+def trace_loss_of_charge(source, capacity: float, delta: float, gamma: float,
+                         n_periods: int, rng, burn_in: int = 0) -> float:
+    """The empirical p_LoC of :func:`simulate_trace` without an idle source,
+    bit for bit, without the trace: the walk streams through one chunk's
+    buffers, and the post-burn-in states at or below the guard are counted
+    chunk by chunk. Memory stays a few MB whatever ``n_periods``.
+    """
+    guard, top = _trace_limits(capacity, delta, gamma, n_periods, burn_in)
+    below = 0
+    for start, states in _walk_chunks(source, delta, top, n_periods, rng, top):
+        below += int(np.count_nonzero(states[max(burn_in - start, 0):] <= guard))
+    return below / (n_periods - burn_in)
+
+
 def simulate_trace(source, capacity: float, delta: float, gamma: float,
                    n_periods: int, rng, idle_source=None,
                    initial_soc: float | None = None, burn_in: int = 0):
@@ -465,31 +538,22 @@ def simulate_trace(source, capacity: float, delta: float, gamma: float,
     it None to reproduce exactly the process the chain describes. Returns
     (empirical p_LoC over the post-burn-in periods, SoC trace in Joules).
     """
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
-    if not 0 <= burn_in < n_periods:
-        raise ValueError("burn_in must lie in [0, n_periods)")
-    s = states_for_capacity(capacity, delta)
-    guard = guard_state(s, gamma)
-    top = s - 1
+    guard, top = _trace_limits(capacity, delta, gamma, n_periods, burn_in)
     state = top if initial_soc is None else int(round(
         min(max(initial_soc, 0.0), capacity) / delta))
-    if idle_source is None:  # no steps outlive the walk
-        states = _clamped_walk(_per_period_steps(source, delta, n_periods, rng),
-                               None, state, top)
+    if idle_source is None:
+        states = np.empty(n_periods, _state_dtype(top))
+        for _ in _walk_chunks(source, delta, top, n_periods, rng, state, states):
+            pass  # each chunk walks into its slice of states
     else:
-        steps = _per_period_steps(source, delta, n_periods, rng).astype(np.int64)
-        idle_steps = _per_period_steps(idle_source, delta, n_periods,
-                                       rng).astype(np.int64)
+        moves = np.empty((2, n_periods), np.int64)  # all active draws come first
+        for row, src in zip(moves, (source, idle_source)):
+            for start, steps in _step_chunks(src, delta, top, n_periods, rng):
+                row[start:start + steps.size] = steps
         states = np.empty(n_periods, dtype=np.int64)
         idle = state <= guard
-        for t in range(n_periods):
-            move = idle_steps[t] if idle else steps[t]
-            state += move
-            if state < 0:
-                state = 0
-            elif state > top:
-                state = top
+        for t, (move, idle_move) in enumerate(zip(*moves.tolist())):
+            state = min(max(state + (idle_move if idle else move), 0), top)
             states[t] = state
             if state <= guard:
                 idle = True

@@ -323,7 +323,7 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
             stderr = (bat.ploc_standard_error(chain, n_periods)
                       if status == "ok" else 0.0)
             rng = _rng(scenario, _EXP_BATTERY, i_p, i_c)
-            ploc_e, _ = bat.simulate_trace(
+            ploc_e = bat.trace_loss_of_charge(
                 dist, cap_j, delta_j, scenario.guard_fraction, n_periods, rng,
                 burn_in=n_periods // 100)
             cells.append((ploc_t, ploc_e, stderr, status))

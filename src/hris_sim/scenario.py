@@ -211,7 +211,8 @@ class Scenario:
 
 def _checked(label, kinds, length, rule, value):
     """``value``, or each entry of a list of ``length``, if of one of ``kinds``
-    and within ``rule``; floats are stored as such, as CSV bytes depend on it."""
+    and within ``rule``; numbers are stored as int or float, as CSV bytes and
+    JSON depend on it."""
     if length is not None:
         if not isinstance(value, (list, tuple)) or length not in (..., len(value)):
             size = "" if length is ... else f" of {length} entries"
@@ -221,8 +222,8 @@ def _checked(label, kinds, length, rule, value):
     if kind is None:
         expected = " or ".join(_KIND_NAMES[k] for k in kinds)
         raise ScenarioError(f"{label} {value!r} must be {expected}")
-    if kind is float:
-        value = float(value)
+    if kind in (int, float):
+        value = kind(value)
     if rule and value is not None and not rule[0](value):
         raise ScenarioError(f"{label} {value!r} must be {rule[1]}")
     return value
@@ -274,6 +275,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario file must hold a JSON object")
     try:

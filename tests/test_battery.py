@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from hris_sim.battery import (BatteryChain, BatterySizing, NetEnergyDist,
                               loss_of_charge, mah_to_joules, ploc_standard_error,
                               resolve_loss_of_charge, simulate_trace,
                               size_battery, states_for_capacity, stationary,
-                              stationary_power_iteration)
+                              stationary_power_iteration, trace_loss_of_charge)
 
 
 def two_point_dist(lo, hi, delta):
@@ -468,6 +469,114 @@ class TestVectorizedAgainstScalar:
         for chain in chains:
             want = build_chain(dist, chain.n_states, delta, 0.1).psi
             assert np.array_equal(chain.psi.view(np.int64), want.view(np.int64))
+
+
+def same_bits(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+class TestStreamedTrace:
+    # the streamed traces rest on this: a sampler drawn chunk by chunk gives
+    # the draws of one call (no fused multiply-add in numpy's random_normal)
+    @pytest.mark.parametrize("chunk, n", [
+        (1, 2000), (7, 2000), (262_147, 2 * 262_147 + 1000), (1001, 1000)])
+    def test_chunked_gaussian_draws_equal_one_draw(self, chunk, n):
+        dist = NetEnergyDist.gaussian(15.0, 110.0)
+        rng = np.random.default_rng(chunk)
+        got = np.concatenate([dist.sample(rng, min(chunk, n - a))
+                              for a in range(0, n, chunk)])
+        want = dist.sample(np.random.default_rng(chunk), n)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from(("array", "gaussian")), st.sampled_from((1, 37, None)),
+           st.integers(1, 30), st.integers(1, 400),
+           st.sampled_from((0.5, 1.0, 3.0)), st.sampled_from((0.0, 0.1, 0.5)),
+           st.sampled_from(("inside", "at", "beyond")), st.data())
+    # chunk boundaries at 37, 74, ...: burn-in inside, at and beyond the first
+    @example(kind="gaussian", chunk=37, top=12, n=100, delta=1.0, gamma=0.1,
+             where="inside", data=None)
+    @example(kind="array", chunk=37, top=12, n=100, delta=1.0, gamma=0.1,
+             where="at", data=None)
+    @example(kind="gaussian", chunk=37, top=12, n=100, delta=1.0, gamma=0.1,
+             where="beyond", data=None)
+    def test_streamed_ploc_equals_trace(self, kind, chunk, top, n, delta, gamma,
+                                        where, data):
+        chunk = n + 1 if chunk is None else chunk  # None: one chunk above n
+        first = min(chunk, n)  # end of the first chunk
+        if data is None:
+            seed, spread = 5, 2.0
+            burn_in = {"inside": first // 2, "at": first, "beyond": first + 9}[where]
+        else:
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            spread = data.draw(st.floats(0.1, 3.0), label="spread")
+            burn_in = data.draw({
+                "inside": st.integers(0, first - 1),
+                "at": st.just(first),
+                "beyond": st.integers(first + 1, n + 1)}[where], label="burn_in")
+        burn_in = min(burn_in, n - 1)
+        capacity = top * delta
+        if kind == "gaussian":
+            source = NetEnergyDist.gaussian(0.1 * top * delta, spread * top * delta)
+            energies = source.sample(np.random.default_rng(seed), n)
+        else:
+            steps = np.random.default_rng(seed).integers(-2 * top - 1, 2 * top + 1,
+                                                         n, endpoint=True)
+            source = energies = (steps + 0.25) * delta
+        with mock.patch.object(battery, "_CHUNK", chunk):
+            streamed = trace_loss_of_charge(source, capacity, delta, gamma, n,
+                                            np.random.default_rng(seed),
+                                            burn_in=burn_in)
+            ploc, soc = simulate_trace(source, capacity, delta, gamma, n,
+                                       np.random.default_rng(seed),
+                                       burn_in=burn_in)
+        want = scalar_trace(energies, capacity, delta, gamma, n, burn_in=burn_in)
+        assert same_bits(streamed, ploc) and same_bits(ploc, want[0])
+        assert np.array_equal(soc, want[1])
+
+    @pytest.mark.parametrize("simulate", [simulate_trace, trace_loss_of_charge])
+    def test_non_finite_energy_in_a_later_chunk_is_rejected(self, simulate):
+        # chunks of 16 periods: the first is clean, the count covers them all
+        source = np.zeros(100)
+        source[[20, 21]], source[50], source[99] = np.nan, -np.inf, np.inf
+        with mock.patch.object(battery, "_CHUNK", 16), \
+                pytest.raises(ValueError, match="non-finite net energies "
+                                                "-inf, inf, nan in 4 of 100 periods"):
+            simulate(source, 100.0, 5.0, 0.1, 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("simulate", [simulate_trace, trace_loss_of_charge])
+    def test_non_finite_sample_in_a_later_chunk_is_rejected(self, simulate):
+        calls = []
+
+        def sampler(rng, n):  # a NaN at the end of every draw but the first
+            calls.append(n)
+            return np.r_[np.zeros(n - 1), 0.0 if len(calls) == 1 else np.nan]
+
+        dist = NetEnergyDist(0.0, 1.0, cdf=lambda x: x, sampler=sampler)
+        with mock.patch.object(battery, "_CHUNK", 16), \
+                pytest.raises(ValueError, match="nan in 3 of 50 periods"):
+            simulate(dist, 100.0, 5.0, 0.1, 50, np.random.default_rng(0))
+        assert calls == [16, 16, 16, 2]
+
+    def test_million_period_ploc_stays_under_one_period_array(self):
+        # the p_LoC cell of a table1.json run; one float64 array of its
+        # periods is 8 MB, which the whole trace once took twice over
+        dist = NetEnergyDist.gaussian(15.0, 110.0)
+        n = 10 ** 6
+
+        def cell():
+            return trace_loss_of_charge(dist, 1500.0, 100.0, 0.1, n,
+                                        np.random.default_rng(42), burn_in=n // 100)
+
+        want = cell()
+        tracemalloc.start()
+        try:
+            got = cell()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same_bits(got, want)
+        assert peak < 8 * n
 
 
 def assert_ndtr_equals_scipy(a):

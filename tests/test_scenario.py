@@ -93,6 +93,19 @@ def test_parse_error_carries_position(tmp_path):
         load_scenario(path)
 
 
+# json.loads raises a plain ValueError past 4,300 digits: exit 1 with a traceback
+def test_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys):
+    text = default_scenario_path().read_text()
+    data = json.loads(text)
+    path = tmp_path / "long.json"
+    path.write_text(text.replace(f'"seed": {data["seed"]}', '"seed": ' + "7" * 5001))
+    rc = cli_main(["run", "--config", str(path), "--experiment", "energy",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "5001 digits" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validation_errors():
     with pytest.raises(ScenarioError):
         Scenario(eta=1.5)
@@ -244,6 +257,16 @@ def test_numbers_in_float_fields_are_stored_as_floats():
     assert all(type(v) is float for v in floats)
     assert sc.capacity_sweep_mah == (100.0, 500.0)
     assert type(Scenario(nx=8).nx) is int
+
+
+# numpy integers were stored as given, and json.dumps raised a TypeError
+def test_numpy_integers_are_stored_as_ints_and_save(tmp_path):
+    sc = Scenario(nx=np.int64(8), seed=np.uint32(3), n_sweep=(np.int32(16),),
+                  k_sweep=[np.int64(10)])
+    assert all(type(v) is int for v in (sc.nx, sc.seed, *sc.n_sweep, *sc.k_sweep))
+    path = save_scenario(sc, tmp_path / "sc.json")
+    assert load_scenario(path) == sc == Scenario(nx=8, seed=3, n_sweep=(16,),
+                                                 k_sweep=(10,))
 
 
 # scenario files written while the frame period and the CE slot count were
