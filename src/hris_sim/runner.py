@@ -8,7 +8,6 @@ identical across worker counts.
 
 import csv
 import logging
-import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -25,35 +24,19 @@ from .geometry import Radio, planar
 from .hris import (Codebook, build_codebook, compose_reflection, idle_config,
                    incident_from_bs, incident_from_ues, oracle_config, probe,
                    quantize, sensed_power)
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, ScenarioError, probe_scheme_bits
 
 log = logging.getLogger(__name__)
 
 # experiment tags folded into per-drop seeds
 _EXP_SUMRATE, _EXP_ENERGY, _EXP_BATTERY = 1, 2, 3
 
-_PROBE_SCHEME = re.compile(r"^probe-q(\d+)$")
-_FIXED_SCHEMES = ("idle", "oracle-equal-gain", "oracle-weighted")
 _section = partial(np.empty, 0)  # a report section with no rows
 
 
-def probe_scheme_bits(scheme: str) -> int | None:
-    m = _PROBE_SCHEME.match(scheme)
-    return int(m.group(1)) if m else None
-
-
-def validate_schemes(schemes) -> None:
-    for scheme in schemes:
-        if scheme not in _FIXED_SCHEMES and probe_scheme_bits(scheme) is None:
-            raise ScenarioError(
-                f"invalid scheme name {scheme!r}; expected one of "
-                f"{', '.join(_FIXED_SCHEMES)} or probe-q<bits>")
-
-
 def validate_run(scenario: Scenario, experiment: str, workers: int) -> None:
-    """Checks across the scenario and the run options, made before any drop
-    runs; raises ScenarioError naming the field."""
-    validate_schemes(scenario.schemes)
+    """Checks of the run options that a Scenario cannot make itself, made
+    before any drop runs; raises ScenarioError naming the option or field."""
     if workers < 1:
         raise ScenarioError(f"--workers must be >= 1, got {workers}")
     if experiment in ("energy", "battery") and scenario.n_drops < 2:
@@ -232,10 +215,6 @@ class BatteryStats:
     harvest_base_w: np.ndarray  # slot-weighted harvest per drop, traffic=1
     diode_count: np.ndarray
 
-    def net_power(self, traffic: float, p_on_w: float, controller_w: float):
-        return frame_power(self.harvest_base_w, self.diode_count, traffic,
-                           p_on_w, controller_w).net
-
 
 def battery_drop_stats(scenario: Scenario, workers: int = 1) -> BatteryStats:
     """Per-drop statistics of the scenario's surface (nx*nz elements at
@@ -313,8 +292,9 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
     n_states = [bat.states_for_capacity(c, delta_j) for c in caps_j]
     dists, cells = [], []
     for i_p, p_on_mw in enumerate(scenario.p_on_sweep_mw):
-        net = stats.net_power(scenario.traffic, p_on_mw * 1e-3,
-                              scenario.controller_run_w)
+        net = frame_power(stats.harvest_base_w, stats.diode_count,
+                          scenario.traffic, p_on_mw * 1e-3,
+                          scenario.controller_run_w).net
         dist = step_dist(net.mean(), net.std(ddof=1), step_s, delta_j)
         dists.append(dist)
         for i_c, (cap_j, n) in enumerate(zip(caps_j, n_states)):

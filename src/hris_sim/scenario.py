@@ -11,6 +11,7 @@ import json
 import logging
 import math
 import numbers
+import re
 import sys
 import typing
 from importlib import resources
@@ -22,6 +23,8 @@ from .geometry import MIN_DISTANCE_M
 log = logging.getLogger(__name__)
 
 MAX_BATTERY_STATES = 2000  # one S x S float64 chain matrix is then 32 MB
+MAX_Q_BITS = 32  # 2^q phase levels: indices round-trip to ~51 bits, 2^63 overflows
+FIXED_SCHEMES = ("idle", "oracle-equal-gain", "oracle-weighted")
 
 
 class ScenarioError(ValueError):
@@ -50,12 +53,21 @@ def _dbm_to_watts(dbm: float) -> float:
         return math.inf
 
 
+def probe_scheme_bits(scheme: str) -> int | None:
+    """B of a ``probe-q<B>`` scheme name with B below 10**9; None otherwise."""
+    m = re.fullmatch(r"probe-q0*(\d{1,9})", scheme)
+    return int(m.group(1)) if m else None
+
+
 # range rules: a test of one value and the words that state it
 _POSITIVE = (lambda v: v > 0, "positive")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _FRACTION = (lambda v: 0 <= v <= 1, "in [0, 1]")
 _POWER_DBM = (lambda v: 0 < _dbm_to_watts(v) < math.inf, "a finite, positive power")
+_Q_BITS = (lambda v: 1 <= v <= MAX_Q_BITS, f"in [1, {MAX_Q_BITS}]")
+_SCHEME = (lambda v: v in FIXED_SCHEMES or _Q_BITS[0](probe_scheme_bits(v) or 0),
+           f"{', '.join(map(repr, FIXED_SCHEMES))} or 'probe-q<B>' with B {_Q_BITS[1]}")
 
 
 def _one_of(*choices):
@@ -100,7 +112,7 @@ class Scenario:
 
     # probing codebook
     codebook_size: int = _rule(32, _AT_LEAST_1)
-    q_bits: int = _rule(2, _AT_LEAST_1)
+    q_bits: int = _rule(2, _Q_BITS)
     probe_threshold_w: float | None = None  # None -> 2x median of the sweep
     combining: str = _rule("soft", _one_of("soft", "hard"))  # soft: power-weighted
 
@@ -132,8 +144,8 @@ class Scenario:
     k_users: int = _rule(75, _AT_LEAST_1)
     n_drops: int = _rule(100, _AT_LEAST_1)
     seed: int = _rule(1, _NON_NEGATIVE)
-    schemes: tuple[str, ...] = ("idle", "oracle-equal-gain", "oracle-weighted",
-                                "probe-q1", "probe-q2")
+    schemes: tuple[str, ...] = _rule((*FIXED_SCHEMES, "probe-q1", "probe-q2"),
+                                     _SCHEME)
     k_sweep: tuple = _rule((10, 25, 50, 75), of="k_users")
     n_sweep: tuple[int, ...] = _rule((16, 32, 64), _AT_LEAST_1)
     q_sweep: tuple = _rule((1, 2), of="q_bits")

@@ -14,7 +14,7 @@ from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile,
                            phase_grid, probe, quantize, sensed_power,
                            steering_config)
 from hris_sim.runner import BatteryStats, RunReport
-from hris_sim.scenario import Scenario
+from hris_sim.scenario import MAX_Q_BITS, Scenario
 
 RADIO = Radio(28e9)
 HRIS = planar((0.0, 0.0, 6.0), 8, 4, RADIO.wavelength / 2)
@@ -59,6 +59,15 @@ class TestQuantize:
         rng = np.random.default_rng(9)
         out = quantize(cfg(np.exp(1j * rng.uniform(0, 2 * np.pi, 64))), 2)
         assert np.allclose(out.phases, np.exp(1j * out.indices * np.pi / 2))
+
+    def test_grid_indices_roundtrip_at_every_scenario_depth(self):
+        # every q_bits a scenario admits; float64 phases start to lose
+        # indices at about 52 bits (hundreds of these 5,002 at 52)
+        rng = np.random.default_rng(11)
+        for q in range(1, MAX_Q_BITS + 1):
+            m = np.r_[0, 2 ** q - 1, rng.integers(0, 2 ** q, 5000)]
+            out = quantize(HrisConfig.from_indices(m, q), q)
+            assert np.array_equal(out.indices, m), q
 
     def test_unquantized_config_has_no_indices(self):
         unquantized = cfg([np.exp(1j * 0.1)])

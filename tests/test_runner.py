@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hris_sim.cli import main as cli_main
 from hris_sim.runner import (RunReport, _summary, _table, emit_csv,
                              run_battery_experiment, run_energy_experiment,
-                             run_sumrate_experiment, validate_schemes)
+                             run_sumrate_experiment)
 from hris_sim.scenario import Scenario, ScenarioError
 
 SMALL = Scenario(n_drops=5, k_users=8, k_sweep=(4, 8), n_sweep=(16, 32),
@@ -16,12 +16,6 @@ SMALL = Scenario(n_drops=5, k_users=8, k_sweep=(4, 8), n_sweep=(16, 32),
                  capacity_sweep_mah=(100.0, 200.0),
                  battery_trace_periods=5000, soc_trace_periods=100,
                  schemes=("idle", "oracle-weighted", "probe-q2"))
-
-
-def test_invalid_scheme_rejected():
-    with pytest.raises(ScenarioError, match="not-a-scheme"):
-        validate_schemes(("idle", "not-a-scheme"))
-    validate_schemes(("probe-q4",))  # arbitrary bit depths parse
 
 
 def test_sumrate_report_shape_and_provenance():

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from hris_sim.cli import main as cli_main
 from hris_sim.scenario import (Scenario, ScenarioError, default_scenario_path,
-                               load_scenario, save_scenario, scenario_from_dict)
+                               load_scenario, probe_scheme_bits, save_scenario,
+                               scenario_from_dict)
 
 _SMALL = Scenario(n_drops=2, k_users=4, k_sweep=(4,), n_sweep=(16,),
                   q_sweep=(1,), p_on_sweep_mw=(0.1,),
@@ -151,7 +152,12 @@ def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
     ("area_min", [30.0, 0.0]), ("area_max", [25.0, -1.0]),
     ("hris_position", [-25.0, 25.0, 6.0]),
     ("p_dbm", 1e308), ("p_dbm", -1e308), ("noise_dbm", 1e6),
-    ("noise_dbm", -1e308)])
+    ("noise_dbm", -1e308),
+    # probe-q0, probe-q64 and probe-q1000000 exited 1 with a ValueError or
+    # OverflowError traceback; 33 bits ran, and is the first past MAX_Q_BITS
+    *(pytest.param("schemes", ["idle", s], id=f"schemes-{s}") for s in
+      ("probe-q0", "probe-q33", "probe-q64", "probe-q1000000")),
+    ("q_bits", 33), pytest.param("q_sweep", [1, 33], id="q_sweep-33")])
 def test_unrunnable_scenario_is_a_config_error(tmp_path, capsys, monkeypatch,
                                                name, bad):
     import hris_sim.runner as runner
@@ -170,6 +176,17 @@ def test_unrunnable_scenario_is_a_config_error(tmp_path, capsys, monkeypatch,
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_invalid_scheme_rejected():
+    for bad in ("not-a-scheme", "probe-q", "probe-q2 ", "probe-q-1", "Idle",
+                "probe-q33", "probe-q" + "9" * 5000):
+        with pytest.raises(ScenarioError, match="schemes entry"):
+            Scenario(schemes=("idle", bad))
+    sc = Scenario(schemes=("probe-q1", "probe-q32", "probe-q04", "idle",
+                           "oracle-equal-gain", "oracle-weighted"))
+    assert [probe_scheme_bits(s) for s in sc.schemes] == [1, 32, 4, None,
+                                                          None, None]
 
 
 # both exited 1 with a TypeError traceback from the range checks
