@@ -129,20 +129,42 @@ def simulate_blockage(tx, rx, field: BlockageField, rng, trials: int = 1) -> np.
 
 
 def _draw_los(tx, points, field: BlockageField, rng) -> np.ndarray:
-    """LoS flag of the link from ``tx`` to each of ``points`` (k, 3)."""
+    """Draws deciding the LoS flags of the links from ``tx`` to each of
+    ``points`` (k, 3): the flags themselves under sampled blockage, else one
+    uniform per link for :func:`_los_flags` to compare."""
     if field.mode == "sampled":
         return np.array([simulate_blockage(tx, p, field, rng, trials=1)[0]
                          for p in points])
-    return rng.uniform(size=len(points)) < los_probability(tx, points, field)
+    return rng.uniform(size=len(points))
 
 
-def realize_channels(scenario: Scenario, rng) -> ChannelSet:
-    """Draw one network snapshot: UE positions, per-link LoS states, channels.
+def _los_flags(draws, tx, points, field: BlockageField) -> np.ndarray:
+    """LoS flags of the links from ``tx`` to ``points`` given their draws."""
+    if field.mode == "sampled":
+        return draws
+    return draws < los_probability(tx, points, field)
 
-    Each link independently resolves LoS vs NLoS (affecting only the pathloss
+
+def _chi(model: PathlossModel, los):
+    return np.where(los, model.chi_los, model.chi_nlos)
+
+
+def realize_channels(scenario: Scenario, rng):
+    """Draw network snapshots: UE positions, per-link LoS states, channels.
+
+    ``rng`` is one generator, for one drop, giving a ChannelSet; or a list of
+    generators, one per drop of a block, giving a list of ChannelSets. Each
+    drop draws from its own generator, in order: UE x, UE y, the BS-UE LoS
+    draws, the HRIS-UE LoS draws, then the BS-HRIS LoS draw unless that link
+    is always LoS. The LoS probabilities, pathloss and array responses are
+    then computed once over the block's stacked UE points. Each link
+    resolves LoS vs NLoS independently (affecting only the pathloss
     exponent); steering vectors are the pure LoS array responses. G is the
-    scaled outer product a_R(b) a_BS(r)^H, hence rank one.
+    scaled outer product a_R(b) a_BS(r)^H, hence rank one; the drops of a
+    block share one G per LoS state of the BS-HRIS link.
     """
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
     radio = Radio(scenario.fc_hz)
     half_wave = radio.wavelength / 2.0
     bs = ula(scenario.bs_position, scenario.m_bs_antennas, half_wave)
@@ -153,33 +175,42 @@ def realize_channels(scenario: Scenario, rng) -> ChannelSet:
                           scenario.blocker_height_m,
                           scenario.blocker_diameter_m,
                           scenario.blockage_mode)
-
-    k = scenario.k_users
-    ue = np.full((k, 3), scenario.ue_height_m, dtype=float)
-    ue[:, 0] = rng.uniform(scenario.area_min[0], scenario.area_max[0], size=k)
-    ue[:, 1] = rng.uniform(scenario.area_min[1], scenario.area_max[1], size=k)
-
     b = np.asarray(scenario.bs_position, float)
     r = np.asarray(scenario.hris_position, float)
+    always = scenario.bs_hris_always_los
 
-    los_bs_ue = _draw_los(b, ue, field, rng)
-    los_hris_ue = _draw_los(r, ue, field, rng)
-    los_bs_hris = scenario.bs_hris_always_los \
-        or bool(_draw_los(b, r[None], field, rng)[0])
+    n, k = len(rngs), scenario.k_users
+    ue = np.full((n, k, 3), scenario.ue_height_m, dtype=float)
+    draw_type = bool if field.mode == "sampled" else float
+    draws = np.empty((2, n, k), draw_type)  # BS-UE, HRIS-UE
+    draws_bs_hris = np.ones(n, draw_type)
+    for i, g in enumerate(rngs):
+        ue[i, :, 0] = g.uniform(scenario.area_min[0], scenario.area_max[0], size=k)
+        ue[i, :, 1] = g.uniform(scenario.area_min[1], scenario.area_max[1], size=k)
+        draws[0, i] = _draw_los(b, ue[i], field, g)
+        draws[1, i] = _draw_los(r, ue[i], field, g)
+        if not always:
+            draws_bs_hris[i] = _draw_los(b, r[None], field, g)[0]
 
-    def chi(los):
-        return np.where(los, model.chi_los, model.chi_nlos)
+    los_bs_ue = _los_flags(draws[0], b, ue, field)
+    los_hris_ue = _los_flags(draws[1], r, ue, field)
+    los_bs_hris = [True] * n if always \
+        else _los_flags(draws_bs_hris, b, r[None], field).tolist()
+    gain_h = np.sqrt(pathloss(ue, r, model, _chi(model, los_hris_ue)))
+    gain_h_d = np.sqrt(pathloss(b, ue, model, _chi(model, los_bs_ue)))
+    # one product over the stacked points; scaled in place, the bits of
+    # gain * response
+    h = array_response(hris, ue.reshape(n * k, 3), radio).reshape(n, k, -1)
+    h *= gain_h[..., None]
+    h_d = array_response(bs, ue.reshape(n * k, 3), radio).reshape(n, k, -1)
+    h_d *= gain_h_d[..., None]
 
     a_r_bs = array_response(hris, b, radio)
-    a_bs_hris = array_response(bs, r, radio)
-    gain_g = pathloss(b, r, model, chi(los_bs_hris))
-    G = np.sqrt(gain_g) * np.outer(a_r_bs, a_bs_hris.conj())
-
-    h = np.sqrt(pathloss(ue, r, model, chi(los_hris_ue)))[:, None] \
-        * array_response(hris, ue, radio)
-    h_d = np.sqrt(pathloss(b, ue, model, chi(los_bs_ue)))[:, None] \
-        * array_response(bs, ue, radio)
-
-    return ChannelSet(G=G, h=h, h_d=h_d, los_bs_hris=los_bs_hris,
-                      los_hris_ue=los_hris_ue, los_bs_ue=los_bs_ue,
-                      ue_positions=ue, a_r_bs=a_r_bs)
+    outer = np.outer(a_r_bs, array_response(bs, r, radio).conj())
+    G = {los: np.sqrt(pathloss(b, r, model, _chi(model, los))) * outer
+         for los in set(los_bs_hris)}
+    block = [ChannelSet(G=G[los], h=h[i], h_d=h_d[i], los_bs_hris=los,
+                        los_hris_ue=los_hris_ue[i], los_bs_ue=los_bs_ue[i],
+                        ue_positions=ue[i], a_r_bs=a_r_bs)
+             for i, los in enumerate(los_bs_hris)]
+    return block[0] if single else block

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hris import HrisConfig
+from .hris import HrisConfig, check_q_bits
 
 
 @dataclass
@@ -43,8 +43,7 @@ class ConsumptionModel:
     def __post_init__(self):
         if min(self.p_on, self.controller_run, self.controller_idle) < 0:
             raise ValueError("powers must be >= 0")
-        if self.q_bits < 1:
-            raise ValueError("q_bits must be >= 1")
+        check_q_bits(self.q_bits)
 
 
 def harvest(model: HarvesterModel, p_in: float) -> float:

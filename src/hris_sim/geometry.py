@@ -99,4 +99,5 @@ def array_response(arr: ArrayGeometry, p, radio: Radio) -> np.ndarray:
     A point of shape (3,) gives (n,); a stack (k, 3) gives one row per point.
     """
     k = wave_vector(p, arr.center, radio.wavelength)
-    return np.exp(1j * (k @ arr.element_offsets.T))
+    phase = 1j * (k @ arr.element_offsets.T)
+    return np.exp(phase, out=phase)  # in place: no second stack of entries

@@ -16,12 +16,20 @@ import numpy as np
 
 from .channel import ChannelSet
 from .geometry import ArrayGeometry, Radio, array_response
+from .scenario import MAX_Q_BITS
 
 REFLECTION = "reflection"
 ABSORPTION = "absorption"
 
 # far-field range used to turn a steering direction into a source point
 _FAR_FIELD_M = 1e3
+
+
+def check_q_bits(q_bits: int) -> None:
+    """Reject a bit depth outside [1, MAX_Q_BITS]: past it, grid indices no
+    longer round-trip through the float64 phases, and 2^63 overflows."""
+    if not 1 <= q_bits <= MAX_Q_BITS:
+        raise ValueError(f"q_bits {q_bits} must be in [1, MAX_Q_BITS={MAX_Q_BITS}]")
 
 
 @dataclass(eq=False)
@@ -41,15 +49,16 @@ class HrisConfig:
         self.phases = np.asarray(self.phases, dtype=complex)
         if self.branch not in (REFLECTION, ABSORPTION):
             raise ValueError(f"unknown branch {self.branch!r}")
-        if np.any(np.abs(self.phases) > 1.0 + 1e-9):
+        if (np.abs(self.phases) > 1.0 + 1e-9).any():
             raise ValueError("per-element modulus must not exceed 1")
 
     @classmethod
     def from_indices(cls, indices, q_bits: int, branch: str = REFLECTION):
         """Quantized configuration with phase 2*pi*m / 2^q_bits at index m."""
+        check_q_bits(q_bits)
         indices = np.asarray(indices)
-        if q_bits < 1 or indices.min() < 0 or indices.max() >= 2 ** q_bits:
-            raise ValueError("need q_bits >= 1 and indices in [0, 2^q_bits)")
+        if indices.min() < 0 or indices.max() >= 2 ** q_bits:
+            raise ValueError("need indices in [0, 2^q_bits)")
         config = cls(np.exp(1j * indices * (2.0 * np.pi / 2 ** q_bits)), branch)
         config.quantized, config.indices = q_bits, indices
         return config
@@ -66,8 +75,7 @@ def idle_config(n_elements: int, branch: str = REFLECTION) -> HrisConfig:
 
 def phase_grid(q_bits: int) -> np.ndarray:
     """The 2^Q admissible phase angles {2*pi*m / 2^Q}."""
-    if q_bits < 1:
-        raise ValueError("q_bits must be >= 1")
+    check_q_bits(q_bits)
     n_levels = 2 ** q_bits
     return 2.0 * np.pi * np.arange(n_levels) / n_levels
 
@@ -75,6 +83,7 @@ def phase_grid(q_bits: int) -> np.ndarray:
 def quantize(config: HrisConfig, q_bits: int) -> HrisConfig:
     """Snap each phase to the nearest grid angle and force unit modulus; a
     tie keeps the smaller angle, which at the wrap-around is 0."""
+    check_q_bits(q_bits)  # before the cast to int, which 2^63 levels overflow
     n_levels = 2 ** q_bits
     x = (np.angle(config.phases) % (2.0 * np.pi)) / (2.0 * np.pi / n_levels)
     idx = np.ceil(x - 0.5).astype(int)
@@ -160,6 +169,17 @@ def sensed_power(config_abs: HrisConfig, incident: np.ndarray, eta: float,
     return float(_sensed_powers(config_abs.phases, incident, eta, noise_var))
 
 
+def _median(x: np.ndarray):
+    """np.median of a 1-D array without its per-call cost: the middle sorted
+    value, or the mean of the middle two; NaN if any value is NaN, which
+    sorts last."""
+    s = np.sort(x)
+    m = s.size // 2
+    if np.isnan(s[-1]):
+        return s[-1]
+    return s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2
+
+
 @dataclass(eq=False)
 class PowerProfile:
     """Per-codeword sensed powers of one sweep and the detected peak set."""
@@ -194,7 +214,7 @@ def probe(codebook: Codebook, incident: np.ndarray, eta: float,
         raise ValueError(f"unknown weighting {weighting!r}")
     powers = _sensed_powers(codebook.phases, incident, eta, noise_var)
     if tau is None:
-        tau = 2.0 * float(np.median(powers))
+        tau = 2.0 * float(_median(powers))
     elif tau < noise_var:
         raise ValueError("threshold below the noise floor")
     profile = PowerProfile(powers, float(tau))

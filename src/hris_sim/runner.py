@@ -3,7 +3,9 @@ harvest/consumption sweeps, battery sizing, and CSV emission.
 
 Every drop derives its generator from (master seed, experiment tag, sweep
 coordinates, drop index), so results are independent of scheduling order and
-identical across worker counts.
+identical across worker counts. Drops are realized in blocks, the unit the
+workers map, and the fixed BS-HRIS link is probed once per codebook and LoS
+state in each process.
 """
 
 import csv
@@ -12,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,15 +24,18 @@ from .comm import effective_channels, evaluate, rzf_precoder
 from .energy import (HarvesterModel, diode_count, frame_power,
                      idle_harvest_fraction, slot_harvest)
 from .geometry import Radio, planar
-from .hris import (Codebook, build_codebook, compose_reflection, idle_config,
-                   incident_from_bs, incident_from_ues, oracle_config, probe,
-                   quantize, sensed_power)
+from .hris import (Codebook, HrisConfig, build_codebook, compose_reflection,
+                   idle_config, incident_from_bs, incident_from_ues,
+                   oracle_config, probe, quantize, sensed_power)
 from .scenario import Scenario, ScenarioError, probe_scheme_bits
 
 log = logging.getLogger(__name__)
 
 # experiment tags folded into per-drop seeds
 _EXP_SUMRATE, _EXP_ENERGY, _EXP_BATTERY = 1, 2, 3
+
+# complex entries of the stacked channels of one block of drops
+_BLOCK_ENTRIES = 2 ** 17
 
 _section = partial(np.empty, 0)  # a report section with no rows
 
@@ -90,7 +96,8 @@ def _rng(scenario: Scenario, *tags) -> np.random.Generator:
 
 
 def _reflection_for_scheme(scenario: Scenario, channels, scheme: str, codebooks):
-    """Reflection configuration a scheme would apply for this snapshot."""
+    """Reflection configuration a scheme would apply for this snapshot;
+    ``codebooks`` is the probing per bit depth of :func:`_probe_codebooks`."""
     if scheme == "idle":
         return idle_config(channels.G.shape[0])
     if scheme == "oracle-equal-gain":
@@ -98,55 +105,102 @@ def _reflection_for_scheme(scenario: Scenario, channels, scheme: str, codebooks)
     if scheme == "oracle-weighted":
         return oracle_config(channels, "weighted")
     q = probe_scheme_bits(scheme)
-    _, (phi_b, phi_u) = _probe_links(scenario, channels, codebooks[q])
-    return compose_reflection(phi_b, phi_u, q)
+    probing = codebooks[q]
+    phi_u = _absorption(scenario, probing.codebook,
+                        incident_from_ues(channels, scenario.p_watts))
+    return compose_reflection(_bs_probe(scenario, probing, channels).phi,
+                              phi_u, q)
 
 
-def _probe_links(sc: Scenario, channels, codebook: Codebook):
-    """The pilot signals at the surface from the BS and from the UEs, and the
-    absorption config the probing sweep combines for each."""
-    incident = (incident_from_bs(channels, sc.p_watts),
-                incident_from_ues(channels, sc.p_watts))
-    return incident, [probe(codebook, v, sc.eta, sc.noise_watts,
-                            sc.probe_threshold_w, sc.combining)[1]
-                      for v in incident]
+class _BsProbe(NamedTuple):
+    """The BS side of the probe in one LoS state of the BS-HRIS link, which
+    depends only on G and a_r_bs: the combined absorption config, and the
+    power its quantized config senses and that config's active diodes."""
+
+    phi: HrisConfig
+    power: float
+    diodes: int
 
 
-def _codebook(scenario: Scenario, q_bits: int) -> Codebook:
-    """Probing codebook of the scenario's surface at one bit depth."""
-    radio = Radio(scenario.fc_hz)
-    geom = planar(scenario.hris_position, scenario.nx, scenario.nz,
-                  radio.wavelength / 2.0)
-    return build_codebook(geom, radio, scenario.codebook_size, q_bits)
+class _Probing(NamedTuple):
+    """A probing codebook of the scenario's surface at one bit depth, and
+    the BS side of the probe per LoS state, filled on first use."""
+
+    codebook: Codebook
+    q_bits: int
+    bs: dict
+
+
+def _probing(sc: Scenario, q_bits: int) -> _Probing:
+    """The scenario's codebook at ``q_bits``, its BS side not probed yet."""
+    radio = Radio(sc.fc_hz)
+    geom = planar(sc.hris_position, sc.nx, sc.nz, radio.wavelength / 2.0)
+    return _Probing(build_codebook(geom, radio, sc.codebook_size, q_bits),
+                    q_bits, {})
+
+
+def _absorption(sc: Scenario, codebook: Codebook, incident: np.ndarray):
+    """The absorption config the probing sweep combines for a pilot."""
+    return probe(codebook, incident, sc.eta, sc.noise_watts,
+                 sc.probe_threshold_w, sc.combining)[1]
+
+
+def _bs_probe(sc: Scenario, probing: _Probing, channels) -> _BsProbe:
+    """The BS side of the probe in the LoS state of this drop's BS-HRIS
+    link: computed from the first drop in that state, then reused, as G
+    does not vary from drop to drop."""
+    bs = probing.bs.get(channels.los_bs_hris)
+    if bs is None:
+        v_b = incident_from_bs(channels, sc.p_watts)
+        phi = _absorption(sc, probing.codebook, v_b)
+        phi_q = quantize(phi, probing.q_bits)
+        bs = probing.bs[channels.los_bs_hris] = _BsProbe(
+            phi, sensed_power(phi_q, v_b, sc.eta, sc.noise_watts),
+            diode_count(phi_q))
+    return bs
 
 
 def _probe_codebooks(scenario: Scenario):
-    """One codebook per quantization level appearing in the scheme list."""
+    """One probing per quantization level appearing in the scheme list."""
     depths = sorted({q for q in map(probe_scheme_bits, scenario.schemes)
                      if q is not None})
-    return {q: _codebook(scenario, q) for q in depths}
+    return {q: _probing(scenario, q) for q in depths}
 
 
-def _sumrate_drop(args):
-    sc, codebooks, drop = args
-    rng = _rng(sc, _EXP_SUMRATE, sc.k_users, drop)
-    channels = realize_channels(sc, rng)
-    rates, fracs = [], []
-    for scheme in sc.schemes:
-        theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
-        h_eff = effective_channels(channels, theta, sc.eta)
-        w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
-        budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
-        rates.append(budget.sum_rate)
-        fracs.append(budget.direct_power_fraction)
-    return sc.k_users, drop, np.array(rates), np.reshape(fracs, (-1, sc.k_users))
+def _blocks(sc: Scenario):
+    """Drop ranges of ``sc.n_drops`` whose stacked channels (K rows of the
+    larger of the surface and the BS array per drop) hold at most
+    ``_BLOCK_ENTRIES`` complex entries, or one drop."""
+    per_drop = sc.k_users * max(sc.n_hris_elements, sc.m_bs_antennas)
+    size = max(1, _BLOCK_ENTRIES // per_drop)
+    return [range(d, min(d + size, sc.n_drops)) for d in range(0, sc.n_drops, size)]
 
 
-def _map_tasks(fn, tasks, workers: int):
+def _sumrate_block(args):
+    sc, codebooks, drops = args
+    block = realize_channels(sc, [_rng(sc, _EXP_SUMRATE, sc.k_users, d)
+                                  for d in drops])
+    results = []
+    for drop, channels in zip(drops, block):
+        rates, fracs = [], []
+        for scheme in sc.schemes:
+            theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
+            h_eff = effective_channels(channels, theta, sc.eta)
+            w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
+            budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
+            rates.append(budget.sum_rate)
+            fracs.append(budget.direct_power_fraction)
+        results.append((sc.k_users, drop, np.array(rates),
+                        np.reshape(fracs, (-1, sc.k_users))))
+    return results
+
+
+def _map_blocks(fn, tasks, workers: int):
+    """The results of ``fn`` on each block, concatenated in task order."""
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        return [r for t in tasks for r in fn(t)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        return [r for rs in pool.map(fn, tasks) for r in rs]
 
 
 def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
@@ -155,10 +209,11 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     codebooks = _probe_codebooks(scenario)
     # one scenario per K, not per drop: each one is validated on creation
     per_k = [replace(scenario, k_users=k) for k in scenario.k_sweep]
-    tasks = [(sc, codebooks, d) for sc in per_k for d in range(scenario.n_drops)]
+    tasks = [(sc, codebooks, drops) for sc in per_k
+             for drops in _blocks(sc)]
     log.info("sum-rate experiment: %d drops x %d K values",
              scenario.n_drops, len(scenario.k_sweep))
-    results = sorted(_map_tasks(_sumrate_drop, tasks, workers),
+    results = sorted(_map_blocks(_sumrate_block, tasks, workers),
                      key=lambda r: (r[0], r[1]))
     if not (results and scenario.schemes):  # an empty sweep gives no rows
         return RunReport()
@@ -186,26 +241,31 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
 
 # --- energy and battery ---------------------------------------------------
 
-def _energy_drop(args):
-    """One probing+harvesting snapshot of the scenario's surface.
+def _energy_block(args):
+    """Probing+harvesting snapshots of the scenario's surface, one per drop.
 
-    Returns the slot-weighted harvest (W, before the traffic factor) and the
-    total active-diode count of the held reflection + absorption configs,
-    so traffic and per-diode power variations rescale without re-simulation.
+    Per drop, the slot-weighted harvest (W, before the traffic factor) and
+    the total active-diode count of the held reflection + absorption
+    configs, so traffic and per-diode power variations rescale without
+    re-simulation.
     """
-    sc, codebook, drop = args
-    rng = _rng(sc, _EXP_ENERGY, sc.n_hris_elements, sc.q_bits, drop)
-    channels = realize_channels(sc, rng)
-    (v_b, v_u), (phi_b, phi_u) = _probe_links(sc, channels, codebook)
-    theta = compose_reflection(phi_b, phi_u, sc.q_bits)
-    phi_b_q = quantize(phi_b, sc.q_bits)
-    phi_u_q = quantize(phi_u, sc.q_bits)
+    sc, probing, drops = args
     harvester = HarvesterModel(sc.harvester_a_w, sc.harvester_b_w,
                                sc.harvester_c_w)
-    p_b = sensed_power(phi_b_q, v_b, sc.eta, sc.noise_watts)
-    p_u = sensed_power(phi_u_q, v_u, sc.eta, sc.noise_watts)
-    return (slot_harvest(harvester, sc.n_dl_slots, sc.n_ul_slots, p_b, p_u),
-            diode_count(theta) + diode_count(phi_b_q))
+    block = realize_channels(sc, [_rng(sc, _EXP_ENERGY, sc.n_hris_elements,
+                                       sc.q_bits, d) for d in drops])
+    results = []
+    for channels in block:
+        bs = _bs_probe(sc, probing, channels)
+        v_u = incident_from_ues(channels, sc.p_watts)
+        phi_u = _absorption(sc, probing.codebook, v_u)
+        theta = compose_reflection(bs.phi, phi_u, sc.q_bits)
+        phi_u_q = quantize(phi_u, sc.q_bits)
+        p_u = sensed_power(phi_u_q, v_u, sc.eta, sc.noise_watts)
+        results.append((slot_harvest(harvester, sc.n_dl_slots, sc.n_ul_slots,
+                                     bs.power, p_u),
+                        diode_count(theta) + bs.diodes))
+    return results
 
 
 @dataclass(eq=False)
@@ -220,9 +280,9 @@ def battery_drop_stats(scenario: Scenario, workers: int = 1) -> BatteryStats:
     """Per-drop statistics of the scenario's surface (nx*nz elements at
     q_bits), probed with a codebook of one codeword per element."""
     sc = replace(scenario, codebook_size=scenario.n_hris_elements)
-    codebook = _codebook(sc, sc.q_bits)
-    tasks = [(sc, codebook, d) for d in range(sc.n_drops)]
-    harvest_base, diodes = zip(*_map_tasks(_energy_drop, tasks, workers))
+    probing = _probing(sc, sc.q_bits)
+    tasks = [(sc, probing, drops) for drops in _blocks(sc)]
+    harvest_base, diodes = zip(*_map_blocks(_energy_block, tasks, workers))
     return BatteryStats(harvest_base_w=np.array(harvest_base),
                         diode_count=np.array(diodes))
 

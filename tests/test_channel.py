@@ -340,3 +340,47 @@ def test_realize_channels_matches_scalar_reference(
         want, have = getattr(ref, name), getattr(got, name)
         assert np.array_equal(want, have), name
         assert np.asarray(want).dtype == np.asarray(have).dtype, name
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@settings(deadline=None, max_examples=40)
+@given(k=st.integers(1, 75), drops=st.data(), m=st.integers(1, 16),
+       nx=st.integers(1, 8), nz=st.integers(1, 8),
+       mode=st.sampled_from(("analytic", "sampled")), always=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_realization_matches_scalar_reference(k, drops, m, nx, nz,
+                                                      mode, always, seed):
+    # a BS below the blockers makes both LoS states of its link to the
+    # surface occur when that link is drawn
+    sc = Scenario(k_users=k, m_bs_antennas=m, nx=nx, nz=nz, n_sweep=(nx,),
+                  bs_position=(-25.0, 25.0, 1.0), blockage_mode=mode,
+                  bs_hris_always_los=always)
+    n = drops.draw(st.integers(1, 12), label="drops")
+    size = drops.draw(st.integers(1, n), label="block size")
+    rngs = [np.random.default_rng([seed, d]) for d in range(n)]
+    got = [ch for start in range(0, n, size)
+           for ch in realize_channels(sc, rngs[start:start + size])]
+    assert len(got) == n
+    for d, have in enumerate(got):
+        want = ref_realize_channels(sc, np.random.default_rng([seed, d]))
+        for name in ("G", "h", "h_d", "a_r_bs", "ue_positions"):
+            assert np.array_equal(_bits(getattr(want, name)),
+                                  _bits(getattr(have, name))), (d, name)
+        assert type(have.los_bs_hris) is bool
+        assert have.los_bs_hris == want.los_bs_hris, d
+        for name in ("los_hris_ue", "los_bs_ue"):
+            assert np.array_equal(getattr(want, name), getattr(have, name)), (d, name)
+
+
+def test_both_los_states_of_the_bs_hris_link_occur_below_the_blockers():
+    sc = Scenario(k_users=1, bs_hris_always_los=False,
+                  bs_position=(-25.0, 25.0, 1.0))
+    block = realize_channels(sc, [np.random.default_rng(d) for d in range(40)])
+    assert {ch.los_bs_hris for ch in block} == {True, False}
+    # the drops of one state share one G
+    for los in (True, False):
+        gs = {id(ch.G) for ch in block if ch.los_bs_hris is los}
+        assert len(gs) == 1

@@ -57,6 +57,11 @@ class TestAtomConsumption:
                 expected = 1e-4 * bin(m).count("1")
                 assert np.isclose(atom_consumption(m, model), expected)
 
+    @pytest.mark.parametrize("q_bits", [0, 33, 52, 63])
+    def test_bit_depth_past_the_scenario_bound_rejected(self, q_bits):
+        with pytest.raises(ValueError, match=f"q_bits {q_bits} .*MAX_Q_BITS=32"):
+            ConsumptionModel(1e-4, q_bits, 4.9e-3, 1.8e-3)
+
     def test_q2_examples(self):
         model = ConsumptionModel(1e-4, 2, 4.9e-3, 1.8e-3)
         assert np.isclose(atom_consumption(3, model), 2e-4)

@@ -8,7 +8,7 @@ from hris_sim.channel import realize_channels
 from hris_sim.comm import LinkBudget
 from hris_sim.energy import diode_count
 from hris_sim.geometry import Radio, array_response, planar
-from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile,
+from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile, _median,
                            build_codebook, compose_reflection,
                            direction_unit_vector, idle_config, oracle_config,
                            phase_grid, probe, quantize, sensed_power,
@@ -68,6 +68,16 @@ class TestQuantize:
             m = np.r_[0, 2 ** q - 1, rng.integers(0, 2 ** q, 5000)]
             out = quantize(HrisConfig.from_indices(m, q), q)
             assert np.array_equal(out.indices, m), q
+
+    # past MAX_Q_BITS indices stop round-tripping (52 bits) or overflow (63)
+    @pytest.mark.parametrize("q_bits", [0, 33, 52, 63])
+    @pytest.mark.parametrize("entry", [
+        phase_grid, lambda q: HrisConfig.from_indices([0, 1], q),
+        lambda q: quantize(cfg([np.exp(1j * 0.3)]), q)],
+        ids=["phase_grid", "from_indices", "quantize"])
+    def test_bit_depth_past_the_scenario_bound_rejected(self, entry, q_bits):
+        with pytest.raises(ValueError, match=f"q_bits {q_bits} .*MAX_Q_BITS=32"):
+            entry(q_bits)
 
     def test_unquantized_config_has_no_indices(self):
         unquantized = cfg([np.exp(1j * 0.1)])
@@ -297,6 +307,16 @@ CODEBOOKS = {(nz, q): build_codebook(geom, RADIO, 8 * nz, q)
              for nz, geom in SURFACES.items() for q in (1, 2, 3)}
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats() | st.floats(0, 1), min_size=1, max_size=80))
+def test_median_equals_numpys(values):
+    # odd and even sizes, repeats, infinities and NaNs; -0.0 == 0.0 here,
+    # as a sort and a partition may order zeros of either sign differently
+    x = np.array(values)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(_median(x), np.median(x), equal_nan=True)
+
+
 class TestArraySweepMatchesScalarReference:
     noise = 1e-11
 
@@ -319,6 +339,7 @@ class TestArraySweepMatchesScalarReference:
                                                    weighting)
         profile, config = probe(cb, v, 0.8, self.noise, weighting=weighting)
         assert np.array_equal(profile.powers, powers)
+        assert profile.threshold == 2.0 * float(np.median(powers))
         assert np.array_equal(profile.peak_indices, peaks)
         if peaks.size:
             assert np.array_equal(config.phases,
