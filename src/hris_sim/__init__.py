@@ -13,8 +13,8 @@ from .energy import (ConsumptionModel, FramePower, HarvesterModel,
 from .geometry import ArrayGeometry, Radio, array_response, planar, ula, wave_vector
 from .hris import (Codebook, HrisConfig, PowerProfile, build_codebook,
                    compose_reflection, idle_config, incident_from_bs,
-                   incident_from_ues, oracle_config, phase_grid, probe,
-                   quantize, sensed_power, steering_config)
+                   incident_from_ues, oracle_config, probe, quantize,
+                   sensed_power, steering_config)
 from .runner import (RunReport, emit_csv, run_battery_experiment,
                      run_energy_experiment, run_sumrate_experiment)
 from .scenario import (Scenario, ScenarioError, default_scenario_path,

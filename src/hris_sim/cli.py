@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .runner import (emit_csv, run_battery_experiment, run_energy_experiment,
-                     run_sumrate_experiment, validate_run)
+                     run_sumrate_experiment)
 from .scenario import (Scenario, ScenarioError, load_scenario, save_scenario)
 
 _EXPERIMENTS = {
@@ -63,13 +63,12 @@ def main(argv=None) -> int:
             overrides["n_drops"] = args.drops
         if overrides:
             scenario = replace(scenario, **overrides)
-        validate_run(scenario, args.experiment, args.workers)
+        report = _EXPERIMENTS[args.experiment](scenario, workers=args.workers)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
     out_dir = Path(args.out)
-    report = _EXPERIMENTS[args.experiment](scenario, workers=args.workers)
     written = emit_csv(report, out_dir)
     save_scenario(scenario, out_dir / "scenario.json")
     for path in written:

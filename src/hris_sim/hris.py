@@ -73,13 +73,6 @@ def idle_config(n_elements: int, branch: str = REFLECTION) -> HrisConfig:
     return HrisConfig(np.ones(n_elements, dtype=complex), branch)
 
 
-def phase_grid(q_bits: int) -> np.ndarray:
-    """The 2^Q admissible phase angles {2*pi*m / 2^Q}."""
-    check_q_bits(q_bits)
-    n_levels = 2 ** q_bits
-    return 2.0 * np.pi * np.arange(n_levels) / n_levels
-
-
 def quantize(config: HrisConfig, q_bits: int) -> HrisConfig:
     """Snap each phase to the nearest grid angle and force unit modulus; a
     tie keeps the smaller angle, which at the wrap-around is 0."""

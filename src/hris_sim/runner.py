@@ -3,9 +3,9 @@ harvest/consumption sweeps, battery sizing, and CSV emission.
 
 Every drop derives its generator from (master seed, experiment tag, sweep
 coordinates, drop index), so results are independent of scheduling order and
-identical across worker counts. Drops are realized in blocks, the unit the
-workers map, and the fixed BS-HRIS link is probed once per codebook and LoS
-state in each process.
+identical across worker counts. Both experiments realize their drops in
+blocks, the unit the workers map, and run one probing phase per drop, whose
+fixed BS-HRIS side is probed once per codebook and LoS state in a process.
 """
 
 import csv
@@ -24,7 +24,7 @@ from .comm import effective_channels, evaluate, rzf_precoder
 from .energy import (HarvesterModel, diode_count, frame_power,
                      idle_harvest_fraction, slot_harvest)
 from .geometry import Radio, planar
-from .hris import (Codebook, HrisConfig, build_codebook, compose_reflection,
+from .hris import (HrisConfig, build_codebook, compose_reflection,
                    idle_config, incident_from_bs, incident_from_ues,
                    oracle_config, probe, quantize, sensed_power)
 from .scenario import Scenario, ScenarioError, probe_scheme_bits
@@ -104,12 +104,8 @@ def _reflection_for_scheme(scenario: Scenario, channels, scheme: str, codebooks)
         return oracle_config(channels, "equal")
     if scheme == "oracle-weighted":
         return oracle_config(channels, "weighted")
-    q = probe_scheme_bits(scheme)
-    probing = codebooks[q]
-    phi_u = _absorption(scenario, probing.codebook,
-                        incident_from_ues(channels, scenario.p_watts))
-    return compose_reflection(_bs_probe(scenario, probing, channels).phi,
-                              phi_u, q)
+    return _probe_phase(scenario, codebooks[probe_scheme_bits(scheme)],
+                        channels)[-1]
 
 
 class _BsProbe(NamedTuple):
@@ -122,42 +118,36 @@ class _BsProbe(NamedTuple):
     diodes: int
 
 
-class _Probing(NamedTuple):
-    """A probing codebook of the scenario's surface at one bit depth, and
-    the BS side of the probe per LoS state, filled on first use."""
-
-    codebook: Codebook
-    q_bits: int
-    bs: dict
-
-
-def _probing(sc: Scenario, q_bits: int) -> _Probing:
-    """The scenario's codebook at ``q_bits``, its BS side not probed yet."""
+def _probing(sc: Scenario, q_bits: int):
+    """A probing of the scenario's surface at ``q_bits``: its codebook, the
+    bit depth, and the BS side of the probe per LoS state, filled on first
+    use."""
     radio = Radio(sc.fc_hz)
     geom = planar(sc.hris_position, sc.nx, sc.nz, radio.wavelength / 2.0)
-    return _Probing(build_codebook(geom, radio, sc.codebook_size, q_bits),
-                    q_bits, {})
+    return build_codebook(geom, radio, sc.codebook_size, q_bits), q_bits, {}
 
 
-def _absorption(sc: Scenario, codebook: Codebook, incident: np.ndarray):
-    """The absorption config the probing sweep combines for a pilot."""
-    return probe(codebook, incident, sc.eta, sc.noise_watts,
-                 sc.probe_threshold_w, sc.combining)[1]
+def _probe_phase(sc: Scenario, probing, channels):
+    """One drop's probing phase: the BS side of the probe, the UE pilot at
+    the elements, the absorption config its sweep combines, and the
+    reflection config the two compose.
 
-
-def _bs_probe(sc: Scenario, probing: _Probing, channels) -> _BsProbe:
-    """The BS side of the probe in the LoS state of this drop's BS-HRIS
-    link: computed from the first drop in that state, then reused, as G
-    does not vary from drop to drop."""
-    bs = probing.bs.get(channels.los_bs_hris)
+    The BS side is computed from the first drop in the LoS state of this
+    drop's BS-HRIS link, then reused, as G does not vary from drop to drop.
+    """
+    codebook, q_bits, bs_sides = probing
+    sweep = (sc.eta, sc.noise_watts, sc.probe_threshold_w, sc.combining)
+    bs = bs_sides.get(channels.los_bs_hris)
     if bs is None:
         v_b = incident_from_bs(channels, sc.p_watts)
-        phi = _absorption(sc, probing.codebook, v_b)
-        phi_q = quantize(phi, probing.q_bits)
-        bs = probing.bs[channels.los_bs_hris] = _BsProbe(
+        phi = probe(codebook, v_b, *sweep)[1]
+        phi_q = quantize(phi, q_bits)
+        bs = bs_sides[channels.los_bs_hris] = _BsProbe(
             phi, sensed_power(phi_q, v_b, sc.eta, sc.noise_watts),
             diode_count(phi_q))
-    return bs
+    v_u = incident_from_ues(channels, sc.p_watts)
+    phi_u = probe(codebook, v_u, *sweep)[1]
+    return bs, v_u, phi_u, compose_reflection(bs.phi, phi_u, q_bits)
 
 
 def _probe_codebooks(scenario: Scenario):
@@ -176,59 +166,69 @@ def _blocks(sc: Scenario):
     return [range(d, min(d + size, sc.n_drops)) for d in range(0, sc.n_drops, size)]
 
 
-def _sumrate_block(args):
-    sc, codebooks, drops = args
-    block = realize_channels(sc, [_rng(sc, _EXP_SUMRATE, sc.k_users, d)
-                                  for d in drops])
-    results = []
-    for drop, channels in zip(drops, block):
-        rates, fracs = [], []
-        for scheme in sc.schemes:
-            theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
-            h_eff = effective_channels(channels, theta, sc.eta)
-            w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
-            budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
-            rates.append(budget.sum_rate)
-            fracs.append(budget.direct_power_fraction)
-        results.append((sc.k_users, drop, np.array(rates),
-                        np.reshape(fracs, (-1, sc.k_users))))
-    return results
+def _block(task):
+    """Realize one block of a point's drops and apply the drop function to
+    each drop's channels."""
+    drop_fn, sc, context, tags, drops = task
+    block = realize_channels(sc, [_rng(sc, *tags, d) for d in drops])
+    return [drop_fn(sc, context, channels) for channels in block]
 
 
-def _map_blocks(fn, tasks, workers: int):
-    """The results of ``fn`` on each block, concatenated in task order."""
+def _map_drops(drop_fn, points, workers: int):
+    """``drop_fn(scenario, context, channels)`` of every drop of each
+    ``(scenario, context, rng tags)`` point, in point and drop order. The
+    blocks are mapped in this process, or in a pool of ``workers`` processes
+    but never more than there are blocks."""
+    tasks = [(drop_fn, sc, context, tags, drops)
+             for sc, context, tags in points for drops in _blocks(sc)]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        return [r for t in tasks for r in fn(t)]
+        return [r for t in tasks for r in _block(t)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for rs in pool.map(fn, tasks) for r in rs]
+        return [r for rs in pool.map(_block, tasks) for r in rs]
+
+
+def _sumrate_drop(sc: Scenario, codebooks, channels):
+    """One drop's sum rate per scheme and direct fractions, scheme-major."""
+    budgets = []
+    for scheme in sc.schemes:
+        theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
+        h_eff = effective_channels(channels, theta, sc.eta)
+        w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
+        budgets.append(evaluate(h_eff, channels.h_d, w, sc.noise_watts))
+    return ([b.sum_rate for b in budgets],
+            np.concatenate([b.direct_power_fraction for b in budgets]))
 
 
 def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     """Average sum-rate per scheme over the K sweep, with per-drop provenance."""
     validate_run(scenario, "sumrate", workers)
     codebooks = _probe_codebooks(scenario)
-    # one scenario per K, not per drop: each one is validated on creation
-    per_k = [replace(scenario, k_users=k) for k in scenario.k_sweep]
-    tasks = [(sc, codebooks, drops) for sc in per_k
-             for drops in _blocks(sc)]
+    # one scenario per distinct K, not per drop: each one is validated on
+    # creation. A K swept r times draws the same seeds each time, so each of
+    # its drops gives r consecutive rows.
+    ks = sorted(set(scenario.k_sweep))
+    points = [(replace(scenario, k_users=k), codebooks, (_EXP_SUMRATE, k))
+              for k in ks]
     log.info("sum-rate experiment: %d drops x %d K values",
              scenario.n_drops, len(scenario.k_sweep))
-    results = sorted(_map_blocks(_sumrate_block, tasks, workers),
-                     key=lambda r: (r[0], r[1]))
-    if not (results and scenario.schemes):  # an empty sweep gives no rows
+    if not (ks and scenario.schemes):  # an empty sweep gives no rows
         return RunReport()
-    k_users, drop, rates, fracs = zip(*results)
-    n_schemes = len(scenario.schemes)
-    drops = _table(scheme=np.tile(scenario.schemes, len(results)),
-                   k_users=np.repeat(k_users, n_schemes), seed=scenario.seed,
-                   drop=np.repeat(drop, n_schemes),
+    results = _map_drops(_sumrate_drop, points, workers)
+    at = np.repeat(np.arange(len(results)), np.repeat(
+        [scenario.k_sweep.count(k) for k in ks], scenario.n_drops))
+    rates, fracs = zip(*(results[i] for i in at))
+    k_at, drop = np.divmod(np.repeat(at, len(scenario.schemes)),
+                           scenario.n_drops)
+    drops = _table(scheme=np.tile(scenario.schemes, at.size),
+                   k_users=np.array(ks)[k_at], seed=scenario.seed, drop=drop,
                    sum_rate_bps_hz=np.concatenate(rates))
     # one row per user of each drops row, in user order
     n_ues = drops["k_users"]
     direct = _table(**{c: np.repeat(drops[c], n_ues) for c in
                        ("scheme", "k_users", "seed", "drop")},
                     ue=np.concatenate([np.arange(k) for k in n_ues]),
-                    direct_power_fraction=np.concatenate(fracs, axis=None))
+                    direct_power_fraction=np.concatenate(fracs))
     return RunReport(
         sumrate_drops=drops, direct_fraction=direct,
         sumrate_summary=_summary(
@@ -241,31 +241,17 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
 
 # --- energy and battery ---------------------------------------------------
 
-def _energy_block(args):
-    """Probing+harvesting snapshots of the scenario's surface, one per drop.
-
-    Per drop, the slot-weighted harvest (W, before the traffic factor) and
-    the total active-diode count of the held reflection + absorption
-    configs, so traffic and per-diode power variations rescale without
-    re-simulation.
+def _energy_drop(sc: Scenario, context, channels):
+    """Probing+harvesting snapshot of the scenario's surface in one drop:
+    the slot-weighted harvest (W, before the traffic factor) and the total
+    active-diode count of the held reflection + absorption configs, so
+    traffic and per-diode power variations rescale without re-simulation.
     """
-    sc, probing, drops = args
-    harvester = HarvesterModel(sc.harvester_a_w, sc.harvester_b_w,
-                               sc.harvester_c_w)
-    block = realize_channels(sc, [_rng(sc, _EXP_ENERGY, sc.n_hris_elements,
-                                       sc.q_bits, d) for d in drops])
-    results = []
-    for channels in block:
-        bs = _bs_probe(sc, probing, channels)
-        v_u = incident_from_ues(channels, sc.p_watts)
-        phi_u = _absorption(sc, probing.codebook, v_u)
-        theta = compose_reflection(bs.phi, phi_u, sc.q_bits)
-        phi_u_q = quantize(phi_u, sc.q_bits)
-        p_u = sensed_power(phi_u_q, v_u, sc.eta, sc.noise_watts)
-        results.append((slot_harvest(harvester, sc.n_dl_slots, sc.n_ul_slots,
-                                     bs.power, p_u),
-                        diode_count(theta) + bs.diodes))
-    return results
+    probing, harvester = context
+    bs, v_u, phi_u, theta = _probe_phase(sc, probing, channels)
+    p_u = sensed_power(quantize(phi_u, sc.q_bits), v_u, sc.eta, sc.noise_watts)
+    return (slot_harvest(harvester, sc.n_dl_slots, sc.n_ul_slots, bs.power,
+                         p_u), diode_count(theta) + bs.diodes)
 
 
 @dataclass(eq=False)
@@ -280,9 +266,11 @@ def battery_drop_stats(scenario: Scenario, workers: int = 1) -> BatteryStats:
     """Per-drop statistics of the scenario's surface (nx*nz elements at
     q_bits), probed with a codebook of one codeword per element."""
     sc = replace(scenario, codebook_size=scenario.n_hris_elements)
-    probing = _probing(sc, sc.q_bits)
-    tasks = [(sc, probing, drops) for drops in _blocks(sc)]
-    harvest_base, diodes = zip(*_map_blocks(_energy_block, tasks, workers))
+    context = (_probing(sc, sc.q_bits),
+               HarvesterModel(sc.harvester_a_w, sc.harvester_b_w,
+                              sc.harvester_c_w))
+    harvest_base, diodes = zip(*_map_drops(_energy_drop, [(
+        sc, context, (_EXP_ENERGY, sc.n_hris_elements, sc.q_bits))], workers))
     return BatteryStats(harvest_base_w=np.array(harvest_base),
                         diode_count=np.array(diodes))
 

@@ -11,8 +11,7 @@ from hris_sim.geometry import Radio, array_response, planar
 from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile, _median,
                            build_codebook, compose_reflection,
                            direction_unit_vector, idle_config, oracle_config,
-                           phase_grid, probe, quantize, sensed_power,
-                           steering_config)
+                           probe, quantize, sensed_power, steering_config)
 from hris_sim.runner import BatteryStats, RunReport
 from hris_sim.scenario import MAX_Q_BITS, Scenario
 
@@ -72,9 +71,9 @@ class TestQuantize:
     # past MAX_Q_BITS indices stop round-tripping (52 bits) or overflow (63)
     @pytest.mark.parametrize("q_bits", [0, 33, 52, 63])
     @pytest.mark.parametrize("entry", [
-        phase_grid, lambda q: HrisConfig.from_indices([0, 1], q),
+        lambda q: HrisConfig.from_indices([0, 1], q),
         lambda q: quantize(cfg([np.exp(1j * 0.3)]), q)],
-        ids=["phase_grid", "from_indices", "quantize"])
+        ids=["from_indices", "quantize"])
     def test_bit_depth_past_the_scenario_bound_rejected(self, entry, q_bits):
         with pytest.raises(ValueError, match=f"q_bits {q_bits} .*MAX_Q_BITS=32"):
             entry(q_bits)
@@ -175,7 +174,7 @@ class TestCodebook:
         assert len(cb) == 32
         assert cb.phases.shape == (32, 32) and cb.directions.shape == (32, 2)
         assert len(np.unique(cb.directions, axis=0)) == 32
-        grid = phase_grid(2)
+        grid = 2 * np.pi * np.arange(4) / 4  # the Q = 2 phase grid
         assert np.allclose(np.abs(cb.phases), 1.0)
         angles = np.angle(cb.phases) % (2 * np.pi)
         dist = np.abs(np.exp(1j * angles[..., None]) - np.exp(1j * grid))

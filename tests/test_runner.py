@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from hris_sim import runner
 from hris_sim.channel import realize_channels
 from hris_sim.cli import main as cli_main
+from hris_sim.comm import effective_channels, evaluate, rzf_precoder
 from hris_sim.energy import HarvesterModel, diode_count, slot_harvest
 from hris_sim.geometry import Radio, planar
 from hris_sim.hris import (build_codebook, compose_reflection,
                            incident_from_bs, incident_from_ues, probe, quantize,
                            sensed_power)
-from hris_sim.runner import (_EXP_ENERGY, RunReport, _rng, _summary, _table,
-                             battery_drop_stats, emit_csv,
+from hris_sim.runner import (_EXP_ENERGY, _EXP_SUMRATE, RunReport,
+                             _probe_codebooks, _reflection_for_scheme, _rng,
+                             _summary, _table, battery_drop_stats, emit_csv,
                              run_battery_experiment, run_energy_experiment,
                              run_sumrate_experiment)
 from hris_sim.scenario import (Scenario, ScenarioError, default_scenario_path,
@@ -137,6 +139,54 @@ def test_blocked_energy_stats_equal_the_per_drop_reference(
     assert np.array_equal(stats.diode_count, diodes)
 
 
+def ref_sumrate_drop(sc, drop):
+    """One drop's sum rates and direct fractions per scheme, each probe
+    scheme on fresh codebooks, so both links are probed in every drop."""
+    channels = realize_channels(sc, _rng(sc, _EXP_SUMRATE, sc.k_users, drop))
+    codebooks = _probe_codebooks(sc)
+    rates, fracs = [], []
+    for scheme in sc.schemes:
+        theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
+        h_eff = effective_channels(channels, theta, sc.eta)
+        w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
+        budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
+        rates.append(budget.sum_rate)
+        fracs.append(budget.direct_power_fraction)
+    return rates, fracs
+
+
+@settings(deadline=None, max_examples=25)
+@given(blockage=st.sampled_from(("analytic", "sampled")),
+       n_drops=st.integers(2, 9), k_sweep=st.lists(st.integers(1, 12),
+                                                    min_size=1, max_size=3),
+       depths=st.sets(st.integers(1, 3), min_size=1, max_size=2),
+       noise_dbm=st.sampled_from((-80.0, -20.0)),
+       block_entries=st.integers(1, 4000), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_sumrate_equals_the_per_drop_reference(
+        blockage, n_drops, k_sweep, depths, noise_dbm, block_entries, seed):
+    # a BS below the blockers, so both LoS states of its link to the surface
+    # occur. At -80 dBm the two states' BS sides compose the same quantized
+    # reflection; at -20 dBm the NLoS sweep is noise-limited and most do not.
+    # A repeated K gives the same drops again, row by row.
+    sc = Scenario(n_drops=n_drops, k_sweep=tuple(k_sweep), seed=seed,
+                  schemes=("idle", *(f"probe-q{q}" for q in sorted(depths))),
+                  noise_dbm=noise_dbm, bs_position=(-25.0, 25.0, 1.0),
+                  bs_hris_always_los=False, blockage_mode=blockage)
+    with mock.patch.object(runner, "_BLOCK_ENTRIES", block_entries):
+        report = run_sumrate_experiment(sc)
+    rows = sorted(((k, d, ref_sumrate_drop(replace(sc, k_users=k), d))
+                   for k in k_sweep for d in range(n_drops)),
+                  key=lambda row: row[:2])
+    rates = np.concatenate([rate for _, _, (rate, _) in rows])
+    fracs = np.concatenate([np.ravel(frac) for _, _, (_, frac) in rows])
+    assert np.array_equal(
+        np.array(report.sumrate_drops["sum_rate_bps_hz"]).view(np.int64),
+        rates.view(np.int64))
+    assert np.array_equal(
+        np.array(report.direct_fraction["direct_power_fraction"]).view(np.int64),
+        fracs.view(np.int64))
+
+
 def test_bs_side_probed_once_per_los_state_and_drops_realized_in_blocks(
         monkeypatch):
     probes, blocks = [], []
@@ -181,6 +231,28 @@ def test_worker_count_maps_blocks_without_changing_the_stats(monkeypatch):
     one, two = battery_drop_stats(SMALL), battery_drop_stats(SMALL, workers=2)
     assert np.array_equal(one.harvest_base_w, two.harvest_base_w)
     assert np.array_equal(one.diode_count, two.diode_count)
+
+
+def test_worker_processes_never_outnumber_the_blocks(tmp_path, monkeypatch):
+    built = []
+
+    class Pool:  # records its size and maps in this process
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(runner, "_BLOCK_ENTRIES", 2 * 8 * 32)  # 3 blocks
+    assert _cli_run(tmp_path, "battery", "--workers", str(10 ** 6)) == 0
+    assert built == [3]
 
 
 def test_blocked_drop_stats_stay_within_their_memory_budget():
