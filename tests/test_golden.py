@@ -69,6 +69,10 @@ CASES = {
     "sumrate-coverage-small": (replace(COVERAGE, n_drops=2), "sumrate", 1),
     "sumrate-unsorted": (UNSORTED, "sumrate", 1),
     "energy-unsorted": (UNSORTED, "energy", 1),
+    # a point swept twice and the own 32-element 2-bit surface off the
+    # sweep, mapped by two workers
+    "energy-repeat-workers2": (replace(SMALL, n_sweep=(32, 16, 32),
+                                       q_sweep=(1,)), "energy", 2),
     # full traffic and a zero diode draw saturate the charging chains; with
     # no idle controller draw and eight-week steps the idle-mode harvest
     # lifts the low-traffic SoC trace off empty one state at a time
@@ -96,7 +100,9 @@ CASES = {
 # sumrate-coverage-small was first recorded with two BLAS threads and is
 # re-recorded with one, the count every case now runs with; sumrate-unsorted
 # and energy-unsorted recorded with the same versions before the report
-# sections became structured arrays
+# sections became structured arrays; energy-repeat-workers2 recorded with the
+# same versions, under the SkylakeX OpenBLAS kernel, before the energy run
+# mapped all its surfaces in one pass
 GOLDEN = {
     "battery": {
         "battery_ploc.csv":
@@ -129,6 +135,16 @@ GOLDEN = {
             "54496a1c7c37cb9f317b24ae2558fee1141ca7fc55d6a4bbc6111e6a17a37d32",
         "energy_summary.csv":
             "5ed4591f71279de77b6641cf451fa630df9b6143df54121c12f351ff6d788331",
+    },
+    "energy-repeat-workers2": {
+        "battery_ploc.csv":
+            "f28947c7ea0ca77d4492fe96c0c68c7458e3074667012be749bfae96eddd27bd",
+        "battery_soc.csv":
+            "c64c6339fe127febb3a19fd8b20252aee5beb43d5b9cc99d1cf83ef756b220a5",
+        "energy_drops.csv":
+            "1bd3bae489f85caa7df41ab3222a18d2f78497cfb495c806edb4fb01612943e8",
+        "energy_summary.csv":
+            "3032f0e0e6045ec05e0e6689e745373a91eca8928c208c3a158c4ae499c3f9d1",
     },
     "energy-unsorted": {
         "battery_ploc.csv":
