@@ -262,29 +262,36 @@ class BatteryStats:
     diode_count: np.ndarray
 
 
+def _surface_stats(scenario: Scenario, surfaces, workers: int) -> dict:
+    """Per-drop statistics of each distinct ``(n_elements, q_bits)`` surface
+    of the scenario's width, one codeword per element, in one drop map."""
+    harvester = HarvesterModel(scenario.harvester_a_w, scenario.harvester_b_w,
+                               scenario.harvester_c_w)
+    scs = {(n, q): replace(scenario, nz=n // scenario.nx, q_bits=q,
+                           codebook_size=n) for n, q in dict.fromkeys(surfaces)}
+    rows = _map_drops(_energy_drop, [
+        (sc, (_probing(sc, q), harvester), (_EXP_ENERGY, n, q))
+        for (n, q), sc in scs.items()], workers)
+    harvest, diodes = (np.reshape(col, (len(scs), -1)) for col in zip(*rows))
+    return dict(zip(scs, map(BatteryStats, harvest, diodes)))
+
+
 def battery_drop_stats(scenario: Scenario, workers: int = 1) -> BatteryStats:
     """Per-drop statistics of the scenario's surface (nx*nz elements at
     q_bits), probed with a codebook of one codeword per element."""
-    sc = replace(scenario, codebook_size=scenario.n_hris_elements)
-    context = (_probing(sc, sc.q_bits),
-               HarvesterModel(sc.harvester_a_w, sc.harvester_b_w,
-                              sc.harvester_c_w))
-    harvest_base, diodes = zip(*_map_drops(_energy_drop, [(
-        sc, context, (_EXP_ENERGY, sc.n_hris_elements, sc.q_bits))], workers))
-    return BatteryStats(harvest_base_w=np.array(harvest_base),
-                        diode_count=np.array(diodes))
+    own = (scenario.n_hris_elements, scenario.q_bits)
+    return _surface_stats(scenario, [own], workers)[own]
 
 
 def run_energy_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     """Harvested/consumed power over the N and Q sweeps, plus the battery
-    analysis of :func:`run_battery_experiment`."""
+    analysis of :func:`run_battery_experiment`, its drops mapped with them."""
     validate_run(scenario, "energy", workers)
     points = [(n, q) for n in scenario.n_sweep for q in scenario.q_sweep]
-    stats = [battery_drop_stats(replace(scenario, nz=n // scenario.nx,
-                                        q_bits=q), workers)
-             for n, q in points]
-    power = frame_power(np.ravel([s.harvest_base_w for s in stats]),
-                        np.ravel([s.diode_count for s in stats]),
+    own = (scenario.n_hris_elements, scenario.q_bits)
+    stats = _surface_stats(scenario, [*points, own], workers)
+    power = frame_power(np.ravel([stats[p].harvest_base_w for p in points]),
+                        np.ravel([stats[p].diode_count for p in points]),
                         scenario.traffic, scenario.p_on_watts,
                         scenario.controller_run_w)
     n_col, q_col = np.repeat(np.reshape(points, (-1, 2)), scenario.n_drops,
@@ -294,10 +301,7 @@ def run_energy_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
         seed=scenario.seed, drop=np.arange(len(n_col)) % scenario.n_drops,
         harvested_w=power.harvested, consumed_w=power.consumed,
         consumed_diodes_w=power.diodes)
-    # the scenario's own surface, when swept, has its drops computed already
-    own = dict(zip(points, stats)).get((scenario.n_hris_elements,
-                                        scenario.q_bits))
-    report = run_battery_experiment(scenario, workers, stats=own)
+    report = run_battery_experiment(scenario, workers, stats=stats[own])
     report.energy_drops = drops
     report.energy_summary = _summary(
         drops, ("scheme", "n_elements", "q_bits", "seed"),
@@ -323,8 +327,8 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
                            stats: BatteryStats | None = None) -> RunReport:
     """Loss-of-charge probability over the capacity and per-diode-power grids
     (theoretical chain vs simulated trace) and example SoC trajectories."""
-    validate_run(scenario, "battery", workers)
-    if stats is None:
+    if stats is None:  # given stats were made, and checked, by their caller
+        validate_run(scenario, "battery", workers)
         stats = battery_drop_stats(scenario, workers)
     delta_j = bat.mah_to_joules(scenario.delta_mah, scenario.battery_voltage)
     step_s = scenario.mc_step_s

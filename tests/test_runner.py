@@ -80,13 +80,19 @@ def test_energy_run_reuses_the_drops_of_its_own_surface(monkeypatch):
 
     realize_channels = runner.realize_channels
     monkeypatch.setattr(runner, "realize_channels", counted)
-    energy = run_energy_experiment(SMALL)
-    # SMALL's own 8x4 surface at q_bits=2 is a point of its N/Q sweep
-    assert sum(drops) == len(SMALL.n_sweep) * len(SMALL.q_sweep) * SMALL.n_drops
-    battery = run_battery_experiment(SMALL)
-    for section in ("battery_ploc", "battery_soc"):
-        assert np.array_equal(getattr(energy, section),
-                              getattr(battery, section))
+    # SMALL's own 8x4 surface at q_bits=2 is a point of its N/Q sweep; at
+    # q_sweep=(1,) it is off the sweep; N=32 swept twice is realized once
+    for sc in (SMALL, replace(SMALL, q_sweep=(1,)),
+               replace(SMALL, n_sweep=(32, 16, 32))):
+        drops.clear()
+        energy = run_energy_experiment(sc)
+        surfaces = {(n, q) for n in sc.n_sweep for q in sc.q_sweep}
+        surfaces.add((sc.n_hris_elements, sc.q_bits))
+        assert sum(drops) == len(surfaces) * sc.n_drops
+        battery = run_battery_experiment(sc)
+        for section in ("battery_ploc", "battery_soc"):
+            assert np.array_equal(getattr(energy, section),
+                                  getattr(battery, section))
 
 
 def ref_energy_drop(sc, codebook, drop):
@@ -253,6 +259,12 @@ def test_worker_processes_never_outnumber_the_blocks(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_BLOCK_ENTRIES", 2 * 8 * 32)  # 3 blocks
     assert _cli_run(tmp_path, "battery", "--workers", str(10 ** 6)) == 0
     assert built == [3]
+    # an energy run maps its 16- and 32-element 1-bit points and its own
+    # 32-element 2-bit surface, of 2, 3 and 3 blocks, in one pool
+    built.clear()
+    assert _cli_run(tmp_path, "energy", "--workers", str(10 ** 6),
+                    scenario=replace(SMALL, q_sweep=(1,))) == 0
+    assert built == [8]
 
 
 def test_blocked_drop_stats_stay_within_their_memory_budget():
@@ -374,10 +386,10 @@ def test_cli_run_and_config_error(tmp_path):
     assert rc == 2
 
 
-def _cli_run(tmp_path, experiment, *extra):
+def _cli_run(tmp_path, experiment, *extra, scenario=SMALL):
     from hris_sim.scenario import save_scenario
     cfg = tmp_path / "sc.json"
-    save_scenario(SMALL, cfg)
+    save_scenario(scenario, cfg)
     return cli_main(["run", "--config", str(cfg), "--experiment", experiment,
                      "--out", str(tmp_path / "out"), *extra])
 
@@ -397,6 +409,28 @@ def test_cli_energy_single_drop_fails_before_any_drop(tmp_path, capsys,
 
     monkeypatch.setattr(runner, "realize_channels", no_drop)
     assert _cli_run(tmp_path, "energy", "--drops", "1") == 2
+    assert "n_drops" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["energy", "battery"])
+def test_energy_and_battery_runs_validate_once(tmp_path, capsys, monkeypatch,
+                                               experiment):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_run(*args)
+
+    def no_drop(*args):
+        raise AssertionError("a drop ran before validation")
+
+    validate_run = runner.validate_run
+    monkeypatch.setattr(runner, "validate_run", counted)
+    assert _cli_run(tmp_path, experiment) == 0
+    assert len(calls) == 1
+    monkeypatch.setattr(runner, "realize_channels", no_drop)
+    assert _cli_run(tmp_path, experiment, "--drops", "1") == 2
+    assert len(calls) == 2
     assert "n_drops" in capsys.readouterr().err
 
 
