@@ -24,59 +24,42 @@ import numpy as np
 
 # Gaussian CDF: the Cephes ndtr of S. L. Moshier, "Methods and Programs for
 # Mathematical Functions" (1989), which scipy.special.ndtr also evaluates.
-# Same coefficients, branches and operation order, and libm's exp through
-# math.exp (np.exp rounds differently), so the results equal scipy's bit for
-# bit; tests/test_battery.py pins that.
+# Same coefficients (U, Q and S write out the leading 1.0 that Cephes'
+# p1evl implies), branches and operation order (np.polyval is Horner's rule),
+# and libm's exp through math.exp (np.exp rounds differently), so the results
+# equal scipy's bit for bit; tests/test_battery.py pins that.
 _SQRTH = 0.7071067811865476  # sqrt(1/2)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
-# erf(w) = w * polevl(w^2, T) / p1evl(w^2, U) for |w| < 1
+# erf(w) = w * T(w^2) / U(w^2) for |w| < 1
 _ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1,
           2.23200534594684319226e3, 7.00332514112805075473e3,
           5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2,
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
           4.59432382970980127987e3, 2.26290000613890934246e4,
           4.92673942608635921086e4)
-# erfc(z) = exp(-z^2) * polevl(z, P) / p1evl(z, Q) for 1 <= z < 8
+# erfc(z) = exp(-z^2) * P(z) / Q(z) for 1 <= z < 8
 _ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
            7.46321056442269912687e0, 4.86371970985681366614e1,
            1.96520832956077098242e2, 5.26445194995477358631e2,
            9.34528527171957607540e2, 1.02755188689515710272e3,
            5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1,
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1,
            3.54937778887819891062e2, 9.75708501743205489753e2,
            1.82390916687909736289e3, 2.24633760818710981792e3,
            1.65666309194161350182e3, 5.57535340817727675546e2)
-# ... and with polevl(z, R) / p1evl(z, S) for z >= 8
+# ... and with R(z) / S(z) for z >= 8
 _ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0,
            5.01905042251180477414e0, 6.16021097993053585195e0,
            7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0,
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0,
            1.20489539808096656605e1, 1.70814450747565897222e1,
            9.60896809063285878198e0, 3.36907645100081516050e0)
-
-
-def _polevl(x: np.ndarray, coef) -> np.ndarray:
-    """Horner's rule from coef[0], one multiply and one add per step."""
-    y = coef[0]
-    for c in coef[1:]:
-        y = y * x
-        y += c
-    return y
-
-
-def _p1evl(x: np.ndarray, coef) -> np.ndarray:
-    """:func:`_polevl` with an implied leading coefficient of 1."""
-    y = x + coef[0]
-    for c in coef[1:]:
-        y *= x
-        y += c
-    return y
 
 
 def _erf_small(w: np.ndarray) -> np.ndarray:
     """erf(w) for |w| < 1."""
     z = w * w
-    return w * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+    return w * np.polyval(_ERF_T, z) / np.polyval(_ERF_U, z)
 
 
 def _erfc_tail(z: np.ndarray) -> np.ndarray:
@@ -89,8 +72,8 @@ def _erfc_tail(z: np.ndarray) -> np.ndarray:
     x = z[rest]
     exp = np.fromiter(map(math.exp, (-x * x).tolist()), float, x.size)
     mid = x < 8.0
-    p = np.where(mid, _polevl(x, _ERFC_P), _polevl(x, _ERFC_R))
-    q = np.where(mid, _p1evl(x, _ERFC_Q), _p1evl(x, _ERFC_S))
+    p = np.where(mid, np.polyval(_ERFC_P, x), np.polyval(_ERFC_R, x))
+    q = np.where(mid, np.polyval(_ERFC_Q, x), np.polyval(_ERFC_S, x))
     out[rest] = exp * p / q
     return out
 
@@ -485,18 +468,14 @@ def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
 
 
 def _walk_chunks(source, delta: float, top: int, n_periods: int, rng,
-                 state: int, out: np.ndarray | None = None):
+                 state: int):
     """Yield (offset, states) of the clamped walk from ``state`` over the
     steps of :func:`_step_chunks`, the state carried from chunk to chunk.
-    The states go into ``out`` when given, else into one reused buffer that
-    the next chunk overwrites."""
+    The states are in one reused buffer that the next chunk overwrites."""
     size = min(_CHUNK, n_periods)
-    dtype = _state_dtype(top)
-    buf = np.empty(size, dtype) if out is None else None
-    rows = np.empty(size, dtype)
+    buf, rows = np.empty((2, size), _state_dtype(top))
     for start, steps in _step_chunks(source, delta, top, n_periods, rng):
-        states = out[start:start + steps.size] if buf is None else buf[:steps.size]
-        _clamped_walk(steps, None, state, top, states, rows)
+        states = _clamped_walk(steps, None, state, top, buf[:steps.size], rows)
         state = int(states[-1])
         yield start, states
 
@@ -543,8 +522,8 @@ def simulate_trace(source, capacity: float, delta: float, gamma: float,
         min(max(initial_soc, 0.0), capacity) / delta))
     if idle_source is None:
         states = np.empty(n_periods, _state_dtype(top))
-        for _ in _walk_chunks(source, delta, top, n_periods, rng, state, states):
-            pass  # each chunk walks into its slice of states
+        for start, chunk in _walk_chunks(source, delta, top, n_periods, rng, state):
+            states[start:start + chunk.size] = chunk
     else:
         moves = np.empty((2, n_periods), np.int64)  # all active draws come first
         for row, src in zip(moves, (source, idle_source)):

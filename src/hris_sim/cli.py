@@ -42,35 +42,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args):
+    """(scenario, report) of a run, or a ScenarioError before any drop runs."""
+    # the nearest existing path up from --out must be a directory
+    out = Path(args.out)
+    found = next(p for p in (out, *out.parents) if p.exists())
+    if not found.is_dir():
+        raise ScenarioError(f"--out {out}: {found} is not a directory")
+    scenario = load_scenario(args.config)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
+    if args.drops is not None:
+        scenario = replace(scenario, n_drops=args.drops)
+    return scenario, _EXPERIMENTS[args.experiment](scenario, workers=args.workers)
+
+
 def main(argv=None) -> int:
-    # log verbosity comes from the environment so scripted runs stay quiet
-    logging.basicConfig(
-        level=os.environ.get("HRIS_SIM_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
-
-    if args.command == "init-config":
-        path = save_scenario(Scenario(), args.out)
-        print(f"wrote default scenario to {path}")
-        return 0
-
+    out = Path(args.out)
     try:
-        scenario = load_scenario(args.config)
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.drops is not None:
-            overrides["n_drops"] = args.drops
-        if overrides:
-            scenario = replace(scenario, **overrides)
-        report = _EXPERIMENTS[args.experiment](scenario, workers=args.workers)
+        # log verbosity comes from the environment so scripted runs stay quiet
+        level = os.environ.get("HRIS_SIM_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ScenarioError(f"HRIS_SIM_LOG={level} is not a log level")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+        if args.command == "run":
+            scenario, report = _run(args)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    out_dir = Path(args.out)
-    written = emit_csv(report, out_dir)
-    save_scenario(scenario, out_dir / "scenario.json")
+    try:
+        if args.command == "init-config":
+            print(f"wrote default scenario to {save_scenario(Scenario(), out)}")
+            return 0
+        written = emit_csv(report, out)
+        save_scenario(scenario, out / "scenario.json")
+    except OSError as exc:
+        print(f"configuration error: --out {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     for path in written:
         print(path)
     return 0

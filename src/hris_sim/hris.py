@@ -162,17 +162,6 @@ def sensed_power(config_abs: HrisConfig, incident: np.ndarray, eta: float,
     return float(_sensed_powers(config_abs.phases, incident, eta, noise_var))
 
 
-def _median(x: np.ndarray):
-    """np.median of a 1-D array without its per-call cost: the middle sorted
-    value, or the mean of the middle two; NaN if any value is NaN, which
-    sorts last."""
-    s = np.sort(x)
-    m = s.size // 2
-    if np.isnan(s[-1]):
-        return s[-1]
-    return s[m] if s.size % 2 else (s[m - 1] + s[m]) / 2
-
-
 @dataclass(eq=False)
 class PowerProfile:
     """Per-codeword sensed powers of one sweep and the detected peak set."""
@@ -207,7 +196,7 @@ def probe(codebook: Codebook, incident: np.ndarray, eta: float,
         raise ValueError(f"unknown weighting {weighting!r}")
     powers = _sensed_powers(codebook.phases, incident, eta, noise_var)
     if tau is None:
-        tau = 2.0 * float(_median(powers))
+        tau = 2.0 * float(np.median(powers))
     elif tau < noise_var:
         raise ValueError("threshold below the noise floor")
     profile = PowerProfile(powers, float(tau))

@@ -10,7 +10,7 @@ fixed BS-HRIS side is probed once per codebook and LoS state in a process.
 
 import csv
 import logging
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -184,7 +184,7 @@ def _map_drops(drop_fn, points, workers: int):
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [r for t in tasks for r in _block(t)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return [r for rs in pool.map(_block, tasks) for r in rs]
 
 

@@ -8,7 +8,7 @@ from hris_sim.channel import realize_channels
 from hris_sim.comm import LinkBudget
 from hris_sim.energy import diode_count
 from hris_sim.geometry import Radio, array_response, planar
-from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile, _median,
+from hris_sim.hris import (ABSORPTION, HrisConfig, PowerProfile,
                            build_codebook, compose_reflection,
                            direction_unit_vector, idle_config, oracle_config,
                            probe, quantize, sensed_power, steering_config)
@@ -304,16 +304,6 @@ SURFACES = {nz: planar((0.0, 0.0, 6.0), 8, nz, RADIO.wavelength / 2)
             for nz in (4, 8)}
 CODEBOOKS = {(nz, q): build_codebook(geom, RADIO, 8 * nz, q)
              for nz, geom in SURFACES.items() for q in (1, 2, 3)}
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.lists(st.floats() | st.floats(0, 1), min_size=1, max_size=80))
-def test_median_equals_numpys(values):
-    # odd and even sizes, repeats, infinities and NaNs; -0.0 == 0.0 here,
-    # as a sort and a partition may order zeros of either sign differently
-    x = np.array(values)
-    with np.errstate(invalid="ignore"):
-        assert np.array_equal(_median(x), np.median(x), equal_nan=True)
 
 
 class TestArraySweepMatchesScalarReference:

@@ -1,4 +1,5 @@
 import tracemalloc
+from concurrent import futures
 from dataclasses import fields, replace
 from unittest import mock
 
@@ -255,7 +256,7 @@ def test_worker_processes_never_outnumber_the_blocks(tmp_path, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(runner, "_BLOCK_ENTRIES", 2 * 8 * 32)  # 3 blocks
     assert _cli_run(tmp_path, "battery", "--workers", str(10 ** 6)) == 0
     assert built == [3]
@@ -438,6 +439,32 @@ def test_energy_and_battery_runs_validate_once(tmp_path, capsys, monkeypatch,
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     assert _cli_run(tmp_path, "sumrate", "--workers", workers) == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_unknown_log_level(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("HRIS_SIM_LOG", "bogus")
+    assert cli_main(["init-config", "--out", str(tmp_path / "d.json")]) == 2
+    assert "HRIS_SIM_LOG" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists()
+
+
+def test_cli_run_into_a_file_fails_before_any_drop(tmp_path, capsys,
+                                                   monkeypatch):
+    def no_drop(*args):
+        raise AssertionError("a drop ran before the --out check")
+
+    monkeypatch.setattr(runner, "realize_channels", no_drop)
+    (tmp_path / "out").write_text("keep")
+    assert _cli_run(tmp_path, "sumrate") == 2
+    assert "--out" in capsys.readouterr().err
+    assert (tmp_path / "out").read_text() == "keep"
+
+
+def test_cli_init_config_into_a_missing_directory(tmp_path, capsys):
+    path = tmp_path / "missing" / "d.json"
+    assert cli_main(["init-config", "--out", str(path)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_library_runs_share_the_cli_validation():
