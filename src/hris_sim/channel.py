@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MIN_DISTANCE_M, Radio, array_response, planar, ula
+from .geometry import (HALF_WAVE, MIN_DISTANCE_M, Radio, array_response,
+                       planar, ula)
 from .scenario import Scenario
 
 
@@ -166,7 +167,7 @@ def realize_channels(scenario: Scenario, rng):
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else rng
     radio = Radio(scenario.fc_hz)
-    half_wave = radio.wavelength / 2.0
+    half_wave = radio.wavelength * HALF_WAVE
     bs = ula(scenario.bs_position, scenario.m_bs_antennas, half_wave)
     hris = planar(scenario.hris_position, scenario.nx, scenario.nz, half_wave)
     model = PathlossModel(scenario.gamma0, scenario.d0_m,

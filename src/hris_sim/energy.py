@@ -5,6 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import HALF_WAVE
 from .hris import HrisConfig, check_q_bits
 
 
@@ -81,9 +82,6 @@ def config_consumption(config: HrisConfig, model: ConsumptionModel) -> float:
     return model.p_on * diode_count(config)
 
 
-_HALF_WAVE = 0.5  # element spacing in wavelengths
-
-
 def idle_harvest_fraction(nx: int, nz: int) -> float:
     """Harvest efficiency fraction of the idle (all-off) beam.
 
@@ -91,7 +89,7 @@ def idle_harvest_fraction(nx: int, nz: int) -> float:
     delta, the idle beam covers the fraction Bx*By/pi^2 of uniformly
     distributed sources.
     """
-    bx, bz = 1.0 / (nx * _HALF_WAVE), 1.0 / (nz * _HALF_WAVE)
+    bx, bz = 1.0 / (nx * HALF_WAVE), 1.0 / (nz * HALF_WAVE)
     return bx * bz / np.pi ** 2
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 C0 = 299792458.0  # speed of light in vacuum, m/s (exact by SI definition)
 MIN_DISTANCE_M = 1e-15  # link endpoints closer than this coincide
+HALF_WAVE = 0.5  # element spacing of both arrays, in wavelengths
 
 
 @dataclass
@@ -45,7 +46,9 @@ class ArrayGeometry:
         if self.center.shape != (3,) or self.element_offsets.ndim != 2 \
                 or self.element_offsets.shape[1] != 3:
             raise ValueError("center must be a 3-vector and offsets (n, 3)")
-        if np.abs(self.element_offsets.mean(axis=0)).max() > 1e-12:
+        # 1e-12 m, or 1e-12 of the extent where the mean's rounding is larger
+        tol = 1e-12 * np.abs(self.element_offsets).max(initial=1.0)
+        if np.abs(self.element_offsets.mean(axis=0)).max() > tol:
             raise ValueError("element offsets must be symmetric about the center")
         if self.n_elements != self.nx * self.nz:
             raise ValueError("array requires nx*nz elements")
@@ -56,13 +59,8 @@ class ArrayGeometry:
 
 
 def ula(center, n_elements: int, spacing: float) -> ArrayGeometry:
-    """Uniform linear array of ``n_elements`` along x, centered on ``center``."""
-    if n_elements < 1:
-        raise ValueError("need at least one element")
-    idx = np.arange(n_elements) - (n_elements - 1) / 2.0
-    offsets = np.zeros((n_elements, 3))
-    offsets[:, 0] = idx * spacing
-    return ArrayGeometry(center, offsets, nx=n_elements, nz=1, spacing=spacing)
+    """Uniform linear array along x, centered on ``center``: one planar row."""
+    return planar(center, n_elements, 1, spacing)
 
 
 def planar(center, nx: int, nz: int, spacing: float) -> ArrayGeometry:

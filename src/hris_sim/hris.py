@@ -218,24 +218,18 @@ def compose_reflection(phi_b: HrisConfig, phi_u: HrisConfig,
     return quantize(cfg, q_bits) if q_bits is not None else cfg
 
 
-def aggregate_ue_channel(channels: ChannelSet, mode: str) -> np.ndarray:
-    """Aggregate HRIS-UE channel: direction-only ("equal") or gain-weighted."""
-    if mode == "equal":
-        norms = np.linalg.norm(channels.h, axis=1, keepdims=True)
-        return (channels.h / norms).sum(axis=0)
-    if mode == "weighted":
-        return channels.h.sum(axis=0)
-    raise ValueError(f"unknown aggregation mode {mode!r}")
-
-
 def oracle_config(channels: ChannelSet, mode: str) -> HrisConfig:
     """Perfect-CSI reflection config exp(j*angle(conj(h_sum) * a_r(bs))).
 
     ``mode`` picks the UE aggregation: "equal" normalizes every UE channel to
     unit gain before summing, "weighted" sums the raw channels.
     """
-    h_sum = aggregate_ue_channel(channels, mode)
-    h_hat = np.conj(h_sum) * channels.a_r_bs
+    h = channels.h
+    if mode == "equal":
+        h = h / np.linalg.norm(h, axis=1, keepdims=True)
+    elif mode != "weighted":
+        raise ValueError(f"unknown aggregation mode {mode!r}")
+    h_hat = np.conj(h.sum(axis=0)) * channels.a_r_bs
     return HrisConfig(np.exp(1j * np.angle(h_hat)), REFLECTION)
 
 

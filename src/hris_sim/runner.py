@@ -23,7 +23,7 @@ from .channel import realize_channels
 from .comm import effective_channels, evaluate, rzf_precoder
 from .energy import (HarvesterModel, diode_count, frame_power,
                      idle_harvest_fraction, slot_harvest)
-from .geometry import Radio, planar
+from .geometry import HALF_WAVE, Radio, planar
 from .hris import (HrisConfig, build_codebook, compose_reflection,
                    idle_config, incident_from_bs, incident_from_ues,
                    oracle_config, probe, quantize, sensed_power)
@@ -123,7 +123,7 @@ def _probing(sc: Scenario, q_bits: int):
     bit depth, and the BS side of the probe per LoS state, filled on first
     use."""
     radio = Radio(sc.fc_hz)
-    geom = planar(sc.hris_position, sc.nx, sc.nz, radio.wavelength / 2.0)
+    geom = planar(sc.hris_position, sc.nx, sc.nz, radio.wavelength * HALF_WAVE)
     return build_codebook(geom, radio, sc.codebook_size, q_bits), q_bits, {}
 
 

@@ -65,6 +65,7 @@ _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _FRACTION = (lambda v: 0 <= v <= 1, "in [0, 1]")
 _POWER_DBM = (lambda v: 0 < _dbm_to_watts(v) < math.inf, "a finite, positive power")
+_CARRIER_GHZ = (lambda v: 0 < v * 1e9 < math.inf, "a finite, positive carrier in Hz")
 _Q_BITS = (lambda v: 1 <= v <= MAX_Q_BITS, f"in [1, {MAX_Q_BITS}]")
 _SCHEME = (lambda v: v in FIXED_SCHEMES or _Q_BITS[0](probe_scheme_bits(v) or 0),
            f"{', '.join(map(repr, FIXED_SCHEMES))} or 'probe-q<B>' with B {_Q_BITS[1]}")
@@ -84,7 +85,7 @@ class Scenario:
     # transmit power and noise
     p_dbm: float = _rule(20.0, _POWER_DBM)
     noise_dbm: float = _rule(-80.0, _POWER_DBM)
-    fc_ghz: float = _rule(28.0, _POSITIVE)
+    fc_ghz: float = _rule(28.0, _CARRIER_GHZ)
     eta: float = _rule(0.8, _FRACTION)  # share reflected; 1-eta absorbed
 
     # arrays

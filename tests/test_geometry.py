@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hris_sim.geometry import (ArrayGeometry, Radio, array_response, planar,
-                               ula, wave_vector)
+from hris_sim.geometry import (HALF_WAVE, ArrayGeometry, Radio,
+                               array_response, planar, ula, wave_vector)
 
 TABLE1_BS = np.array([-25.0, 25.0, 6.0])
 TABLE1_HRIS = np.array([0.0, 0.0, 6.0])
+WIDE = Radio(1e3).wavelength * HALF_WAVE  # half a wavelength at 1e-6 GHz
 
 
 def test_radio_wavelength_consistency():
@@ -19,6 +22,40 @@ def test_ula_offsets_symmetric_and_spaced():
     gaps = np.diff(arr.element_offsets[:, 0])
     assert np.allclose(gaps, 0.005, rtol=1e-12, atol=0.0)
     assert np.ptp(arr.element_offsets[:, 1:]) == 0.0
+
+
+def _reference_ula(center, n_elements, spacing):
+    """The layout ``ula`` built itself before it became one planar row."""
+    if n_elements < 1:
+        raise ValueError("need at least one element")
+    idx = np.arange(n_elements) - (n_elements - 1) / 2.0
+    offsets = np.zeros((n_elements, 3))
+    offsets[:, 0] = idx * spacing
+    return ArrayGeometry(center, offsets, nx=n_elements, nz=1, spacing=spacing)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 130), st.floats(1e-3, 1e5))
+def test_ula_equals_the_reference_layout_bit_for_bit(n, spacing):
+    arr, ref = ula(TABLE1_BS, n, spacing), _reference_ula(TABLE1_BS, n, spacing)
+    assert np.array_equal(arr.element_offsets.view(np.int64),
+                          ref.element_offsets.view(np.int64))
+    assert (arr.nx, arr.nz, arr.spacing) == (ref.nx, ref.nz, ref.spacing)
+
+
+# at 150 km spacing the mean of these symmetric layouts rounded past the
+# absolute 1e-12 m that the centroid check allowed
+def test_wide_spacing_layouts_construct():
+    assert planar(TABLE1_HRIS, 8, 4, WIDE).n_elements == 32
+    assert ula(TABLE1_BS, 128, WIDE).n_elements == 128
+
+
+@pytest.mark.parametrize("spacing", [5e-3, WIDE])
+def test_off_center_layout_rejected_at_any_scale(spacing):
+    offsets = planar(TABLE1_HRIS, 8, 4, spacing).element_offsets
+    shifted = offsets + [1e-9 * np.abs(offsets).max(), 0.0, 0.0]
+    with pytest.raises(ValueError, match="symmetric about the center"):
+        ArrayGeometry(TABLE1_HRIS, shifted, nx=8, nz=4, spacing=spacing)
 
 
 def test_planar_layout_row_major_x_fastest():

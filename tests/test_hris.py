@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hris_sim.battery import BatteryChain
-from hris_sim.channel import realize_channels
+from hris_sim.channel import ChannelSet, realize_channels
 from hris_sim.comm import LinkBudget
 from hris_sim.energy import diode_count
 from hris_sim.geometry import Radio, array_response, planar
@@ -99,6 +99,35 @@ class TestQuantize:
         direct = HrisConfig.from_indices(idx, q_bits, ABSORPTION)
         assert np.array_equal(direct.phases, snapped.phases)
         assert direct.quantized == snapped.quantized == q_bits
+
+
+def _reference_aggregate_ue_channel(channels, mode):
+    """The UE aggregation ``oracle_config`` called before it summed the
+    channels itself."""
+    if mode == "equal":
+        norms = np.linalg.norm(channels.h, axis=1, keepdims=True)
+        return (channels.h / norms).sum(axis=0)
+    if mode == "weighted":
+        return channels.h.sum(axis=0)
+    raise ValueError(f"unknown aggregation mode {mode!r}")
+
+
+@settings(deadline=None)
+@given(st.integers(1, 20), st.integers(1, 64), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(("equal", "weighted")))
+def test_oracle_equals_the_two_step_form_bit_for_bit(k, n, seed, mode):
+    rng = np.random.default_rng(seed)
+    gains = 10.0 ** rng.uniform(-8, 0, (k, 1))  # UE channels far apart in gain
+    h = gains * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    a_r_bs = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    ch = ChannelSet(G=a_r_bs[:, None], h=h, h_d=np.ones((k, 1)),
+                    los_bs_hris=True, los_hris_ue=np.ones(k, bool),
+                    los_bs_ue=np.ones(k, bool), ue_positions=np.zeros((k, 3)),
+                    a_r_bs=a_r_bs)
+    h_hat = np.conj(_reference_aggregate_ue_channel(ch, mode)) * ch.a_r_bs
+    expected = np.exp(1j * np.angle(h_hat))
+    assert np.array_equal(oracle_config(ch, mode).phases.view(np.int64),
+                          expected.view(np.int64))
 
 
 def _reference_quantize_indices(phases, q_bits):
@@ -378,6 +407,11 @@ class TestComposeAndOracle:
         direct = np.exp(1j * np.angle(np.conj(h_sum) * ch.a_r_bs))
         assert np.allclose(composed.phases, direct)
         assert np.allclose(oracle_config(ch, "weighted").phases, direct)
+
+    def test_oracle_rejects_an_unknown_mode(self):
+        ch = realize_channels(Scenario(k_users=2), np.random.default_rng(25))
+        with pytest.raises(ValueError, match="unknown aggregation mode 'sum'"):
+            oracle_config(ch, "sum")
 
     def test_oracle_modes_identical_for_single_user(self):
         sc = Scenario(k_users=1)

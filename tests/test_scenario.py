@@ -153,6 +153,8 @@ def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
     ("hris_position", [-25.0, 25.0, 6.0]),
     ("p_dbm", 1e308), ("p_dbm", -1e308), ("noise_dbm", 1e6),
     ("noise_dbm", -1e308),
+    # an infinite carrier in Hz gave a zero wavelength: ZeroDivisionError
+    ("fc_ghz", 1e308),
     # probe-q0, probe-q64 and probe-q1000000 exited 1 with a ValueError or
     # OverflowError traceback; 33 bits ran, and is the first past MAX_Q_BITS
     *(pytest.param("schemes", ["idle", s], id=f"schemes-{s}") for s in
@@ -201,6 +203,27 @@ def test_wrong_field_type_is_a_config_error(tmp_path, capsys, name, bad):
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _numbers(path):
+    """Every cell of a CSV file that parses as a float."""
+    for cell in path.read_text().replace("\n", ",").split(","):
+        try:
+            yield float(cell)
+        except ValueError:
+            pass
+
+
+# half a wavelength at 1e-6 GHz is 150 km, and the mean of the symmetric
+# array layout rounded past the centroid check's absolute 1e-12 m: exit 1
+@pytest.mark.parametrize("experiment", ["sumrate", "energy"])
+def test_kilohertz_carrier_runs_to_finite_csvs(tmp_path, experiment):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({**_SMALL.to_dict(), "fc_ghz": 1e-6}))
+    assert cli_main(["run", "--config", str(path), "--experiment", experiment,
+                     "--out", str(tmp_path / "out")]) == 0
+    csvs = sorted((tmp_path / "out").glob("*.csv"))
+    assert csvs and all(math.isfinite(v) for p in csvs for v in _numbers(p))
 
 
 # JSON's NaN and Infinity load as floats: a NaN p_dbm ran sumrate to nan sum
