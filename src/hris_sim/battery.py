@@ -359,23 +359,26 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
     return min(found, key=lambda c: (c.capacity, c.delta), default=None)
 
 
-_CHUNK = 2 ** 18  # periods per chunk of a streamed trace
+_CHUNK = 2 ** 16  # periods per draw of a streamed trace
+_SEGMENT = 2 ** 20  # periods per walk of a streamed trace
 
 
 def _state_dtype(top: int):
-    """int32 states when top < 2**30: a state plus a step stays in [-top, 2*top]."""
-    return np.int32 if top < 2 ** 30 else np.int64
+    """The narrowest integer type holding [-top, 2*top], where a state plus
+    a step lies."""
+    return np.int8 if top < 2 ** 6 else np.int16 if top < 2 ** 14 \
+        else np.int32 if top < 2 ** 30 else np.int64
 
 
-def _step_chunks(source, delta: float, top: int, n_periods: int, rng):
-    """Yield (offset, steps) over the trace, up to _CHUNK periods at a time.
+def _step_segments(source, delta: float, top: int, n_periods: int, rng):
+    """Yield (offset, steps) over the trace, up to _SEGMENT periods at a time.
 
-    ``source`` is a NetEnergyDist, drawn with ``sample(rng, k)`` per chunk
-    (chunked draws equal one draw), or an array of net energies, sliced. The
-    steps floor(dE/delta), clipped to [-top, top] (which changes no state),
-    are floats in one reused buffer that the next chunk overwrites.
-    Non-finite energies raise a ValueError naming them, counted over the
-    whole trace.
+    ``source`` is a NetEnergyDist, drawn with ``sample(rng, k)`` up to
+    _CHUNK periods at a time (chunked draws equal one draw), or an array of
+    net energies, sliced. The steps floor(dE/delta), clipped to [-top, top]
+    (which changes no state), are integers of :func:`_state_dtype` in one
+    reused buffer that the next segment overwrites. Non-finite energies
+    raise a ValueError naming them, counted over the whole trace.
     """
     if isinstance(source, NetEnergyDist):
         def energies(start, stop):
@@ -389,6 +392,8 @@ def _step_chunks(source, delta: float, top: int, n_periods: int, rng):
             return values[start:stop]
     size = min(_CHUNK, n_periods)
     quotient = np.empty(size)
+    steps = np.empty(min(_SEGMENT, n_periods), _state_dtype(top))
+    fill = 0  # steps of the current segment
     for start in range(0, n_periods, size):
         stop = min(start + size, n_periods)
         chunk = energies(start, stop)
@@ -398,41 +403,47 @@ def _step_chunks(source, delta: float, top: int, n_periods: int, rng):
                 for a in range(stop, n_periods, size)))])
             raise ValueError(f"non-finite net energies {', '.join(map(str, np.unique(bad)))}"
                              f" in {bad.size} of {n_periods} periods")
-        steps = np.divide(chunk, delta, out=quotient[:stop - start])
+        q = np.divide(chunk, delta, out=quotient[:stop - start])
         del chunk  # a draw held across the yield would double its memory
-        np.floor(steps, out=steps)
-        yield start, np.clip(steps, -top, top, out=steps)
+        # the floor of q clipped to the whole numbers +-top is the floored
+        # step clipped; the clipped floats cast to the narrow type exactly
+        np.clip(q, -top, top, out=q)
+        while q.size:  # a chunk may end one segment and start the next
+            k = min(steps.size - fill, q.size)
+            np.floor(q[:k], out=steps[fill:fill + k], casting="unsafe")
+            q, fill = q[k:], fill + k
+            if fill == steps.size or stop - q.size == n_periods:
+                yield stop - q.size - fill, steps[:fill]
+                fill = 0
 
 
 _BLOCK = 16  # maps per block of the scan
 
 
-def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
-                  top: int, out: np.ndarray | None = None,
-                  rows: np.ndarray | None = None) -> np.ndarray:
-    """The states of the walk x -> min(max(x + steps[t], lo[t]), hi[t]) from
-    ``start``, exactly, by a recursive scan over composed clamp maps.
+def _walk_blocks(steps: np.ndarray, bounds: np.ndarray | None, start: int,
+                 top: int, rows: np.ndarray | None = None):
+    """The walk x -> min(max(x + steps[t], lo[t]), hi[t]) from ``start``,
+    exactly, by a recursive scan over composed clamp maps.
 
     ``steps`` lie in [-top, top]. ``bounds`` holds lo and hi as a (2, n)
-    array, or is None for (0, top). The states go into ``out``, and ``rows``
-    is scratch of at least n states; each is allocated when None. Row k of
-    the (_BLOCK, n_blocks) copy in ``rows`` holds position k of every block,
-    so each vector update reads contiguous memory. One sweep down the rows
-    walks every block from 0 and from top: the lo and hi of its composed
-    map, whose step is the block sum. This function walks the block maps
-    from ``start``, and a second sweep replays each block from its start.
-    The last level and the trailing maps take a scalar loop.
+    array, or is None for (0, top). ``rows`` is scratch of at least n states
+    (allocated when None). Returns (body, tail): the states of the whole
+    blocks as a (_BLOCK, n_blocks) view of ``rows``, row k holding position
+    k of every block, and the list of the trailing states. Each vector
+    update so reads contiguous memory. One sweep down the rows walks every
+    block from 0 and from top: the lo and hi of its composed map, whose step
+    is the block sum. The block maps are walked from ``start`` one level up,
+    and a second sweep replays each block from its start. The last level
+    and the trailing maps take a scalar loop.
     """
     b = _BLOCK
     n_blocks = steps.size // b
     n_body = n_blocks * b
     dtype = _state_dtype(top)
-    if out is None:
-        out = np.empty(steps.size, dtype)
+    rows = (np.empty(n_body, dtype) if rows is None
+            else rows[:n_body]).reshape(b, n_blocks)
     x = start
     if n_blocks:
-        rows = (np.empty(n_body, dtype) if rows is None
-                else rows[:n_body]).reshape(b, n_blocks)
         body = steps[:n_body].reshape(n_blocks, b)
         for j in range(0, n_blocks, 1024):  # a cache-sized chunk at a time
             rows[:, j:j + 1024] = body[j:j + 1024].T
@@ -449,35 +460,45 @@ def _clamped_walk(steps: np.ndarray, bounds: np.ndarray | None, start: int,
                 np.minimum(y, hi, out=y)
                 x = y
 
-        sums = rows.sum(axis=0, dtype=np.int64)
-        np.clip(sums, -top, top, out=sums)  # as steps: this changes no state
+        # a block sum of b steps needs b times a step's range; clipped back
+        # to one step's range it changes no state
+        sums = rows.sum(axis=0, dtype=_state_dtype(b * top))
+        np.clip(sums, -top, top, out=sums)
         lo_hi = span.copy()
         sweep(lo_hi, write=False)
-        ends = _clamped_walk(sums, lo_hi, start, top)  # state after each block
+        # the state after each block: the block maps walked one level up
+        ends = _in_order(*_walk_blocks(sums, lo_hi, start, top),
+                         np.empty(n_blocks, dtype))
         starts = np.roll(ends, 1)
         starts[0], x = start, int(ends[-1])
         sweep(starts, write=True)
-        out[:n_body].reshape(n_blocks, b)[...] = rows.T
     tail_bounds = repeat((0, top)) if bounds is None \
         else bounds[:, n_body:].T.tolist()
-    for t, (a, (lo, hi)) in enumerate(zip(steps[n_body:].tolist(), tail_bounds),
-                                      n_body):
-        x = min(max(x + int(a), lo), hi)
-        out[t] = x
+    tail = []
+    for a, (lo, hi) in zip(steps[n_body:].tolist(), tail_bounds):
+        x = min(max(x + a, lo), hi)
+        tail.append(x)
+    return rows, tail
+
+
+def _in_order(body: np.ndarray, tail: list, out: np.ndarray) -> np.ndarray:
+    """Write the states of :func:`_walk_blocks` into ``out`` in period order."""
+    out[:body.size].reshape(-1, _BLOCK)[...] = body.T
+    out[body.size:] = tail
     return out
 
 
-def _walk_chunks(source, delta: float, top: int, n_periods: int, rng,
-                 state: int):
-    """Yield (offset, states) of the clamped walk from ``state`` over the
-    steps of :func:`_step_chunks`, the state carried from chunk to chunk.
-    The states are in one reused buffer that the next chunk overwrites."""
-    size = min(_CHUNK, n_periods)
-    buf, rows = np.empty((2, size), _state_dtype(top))
-    for start, steps in _step_chunks(source, delta, top, n_periods, rng):
-        states = _clamped_walk(steps, None, state, top, buf[:steps.size], rows)
-        state = int(states[-1])
-        yield start, states
+def _walk_segments(source, delta: float, top: int, n_periods: int, rng,
+                   state: int):
+    """Yield (offset, body, tail) of :func:`_walk_blocks` over the segments
+    of :func:`_step_segments`, walked from ``state`` and carrying it from
+    segment to segment. ``body`` is in one reused buffer that the next
+    segment overwrites."""
+    rows = np.empty(min(_SEGMENT, n_periods), _state_dtype(top))
+    for start, steps in _step_segments(source, delta, top, n_periods, rng):
+        body, tail = _walk_blocks(steps, None, state, top, rows)
+        state = tail[-1] if tail else int(body[-1, -1])
+        yield start, body, tail
 
 
 def _trace_limits(capacity: float, delta: float, gamma: float, n_periods: int,
@@ -494,14 +515,19 @@ def _trace_limits(capacity: float, delta: float, gamma: float, n_periods: int,
 def trace_loss_of_charge(source, capacity: float, delta: float, gamma: float,
                          n_periods: int, rng, burn_in: int = 0) -> float:
     """The empirical p_LoC of :func:`simulate_trace` without an idle source,
-    bit for bit, without the trace: the walk streams through one chunk's
+    bit for bit, without the trace: the walk streams through one segment's
     buffers, and the post-burn-in states at or below the guard are counted
-    chunk by chunk. Memory stays a few MB whatever ``n_periods``.
+    on its walked rows. Memory stays a few MB whatever ``n_periods``.
     """
     guard, top = _trace_limits(capacity, delta, gamma, n_periods, burn_in)
     below = 0
-    for start, states in _walk_chunks(source, delta, top, n_periods, rng, top):
-        below += int(np.count_nonzero(states[max(burn_in - start, 0):] <= guard))
+    for start, body, tail in _walk_segments(source, delta, top, n_periods, rng,
+                                            top):
+        skip = max(burn_in - start, 0)  # burn-in periods of the segment
+        block, k = divmod(skip, _BLOCK)  # first counted period: body[k, block]
+        below += int(np.count_nonzero(body[k:, block:block + 1] <= guard)) \
+            + int(np.count_nonzero(body[:, block + 1:] <= guard)) \
+            + sum(x <= guard for x in tail[max(skip - body.size, 0):])
     return below / (n_periods - burn_in)
 
 
@@ -522,12 +548,13 @@ def simulate_trace(source, capacity: float, delta: float, gamma: float,
         min(max(initial_soc, 0.0), capacity) / delta))
     if idle_source is None:
         states = np.empty(n_periods, _state_dtype(top))
-        for start, chunk in _walk_chunks(source, delta, top, n_periods, rng, state):
-            states[start:start + chunk.size] = chunk
+        for start, body, tail in _walk_segments(source, delta, top, n_periods,
+                                                rng, state):
+            _in_order(body, tail, states[start:start + body.size + len(tail)])
     else:
         moves = np.empty((2, n_periods), np.int64)  # all active draws come first
         for row, src in zip(moves, (source, idle_source)):
-            for start, steps in _step_chunks(src, delta, top, n_periods, rng):
+            for start, steps in _step_segments(src, delta, top, n_periods, rng):
                 row[start:start + steps.size] = steps
         states = np.empty(n_periods, dtype=np.int64)
         idle = state <= guard

@@ -317,10 +317,19 @@ def step_dist(mean_power_w: float, std_power_w: float, step_s: float,
     One Monte-Carlo drop is held for the whole aggregation window, so both
     the mean and the spread scale linearly with the step length. The spread
     is floored at a tiny fraction of the step size to keep the distribution
-    well defined when the drop-to-drop variation vanishes.
+    well defined when the drop-to-drop variation vanishes. A mean or spread
+    that is not finite raises a ScenarioError naming the fields behind it.
     """
-    sigma = max(std_power_w * step_s, 1e-9 * delta_j)
-    return bat.NetEnergyDist.gaussian(mean_power_w * step_s, sigma)
+    with np.errstate(over="ignore"):
+        mean = mean_power_w * step_s
+        sigma = max(std_power_w * step_s, 1e-9 * delta_j)
+    if not np.isfinite([mean, sigma]).all():
+        raise ScenarioError(
+            f"the net energy per step is not finite (mean {mean} J, spread "
+            f"{sigma} J): it is mc_step_s {step_s} times the net power of "
+            "harvester_a_w, harvester_b_w, harvester_c_w, p_on_mw, "
+            "p_on_sweep_mw, controller_run_mw and controller_idle_mw")
+    return bat.NetEnergyDist.gaussian(mean, sigma)
 
 
 def run_battery_experiment(scenario: Scenario, workers: int = 1,
@@ -338,17 +347,35 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
                   "n_elements": scenario.n_hris_elements,
                   "q_bits": scenario.q_bits, "seed": scenario.seed}
 
+    # every per-step distribution before any trace runs: p_LoC's per p_on,
+    # and the active and idle ones of the SoC trajectories per traffic
+    # intensity; step_dist names the fields behind one that is not finite
+    harvest = stats.harvest_base_w
+    with np.errstate(over="ignore", invalid="ignore"):
+        nets = [frame_power(harvest, stats.diode_count, scenario.traffic,
+                            p_on_mw * 1e-3, scenario.controller_run_w).net
+                for p_on_mw in scenario.p_on_sweep_mw]
+        dists = [step_dist(net.mean(), net.std(ddof=1), step_s, delta_j)
+                 for net in nets]
+        harvest_mean, harvest_std = harvest.mean(), harvest.std(ddof=1)
+        diodes_mean = stats.diode_count.mean()
+        soc_dists = [(
+            step_dist(frame_power(harvest_mean, diodes_mean, zeta,
+                                  scenario.p_on_watts,
+                                  scenario.controller_run_w).net,
+                      zeta * harvest_std, step_s, delta_j),
+            step_dist(frame_power(harvest_mean, 0, nu * zeta,
+                                  scenario.p_on_watts,
+                                  scenario.controller_idle_w).net,
+                      nu * zeta * harvest_std, step_s, delta_j))
+            for zeta in scenario.zeta_sweep]
+
     # theory and trace per (p_on, capacity) grid point, p_on-major
     caps_j = [bat.mah_to_joules(c, scenario.battery_voltage)
               for c in scenario.capacity_sweep_mah]
     n_states = [bat.states_for_capacity(c, delta_j) for c in caps_j]
-    dists, cells = [], []
-    for i_p, p_on_mw in enumerate(scenario.p_on_sweep_mw):
-        net = frame_power(stats.harvest_base_w, stats.diode_count,
-                          scenario.traffic, p_on_mw * 1e-3,
-                          scenario.controller_run_w).net
-        dist = step_dist(net.mean(), net.std(ddof=1), step_s, delta_j)
-        dists.append(dist)
+    cells = []
+    for i_p, dist in enumerate(dists):
         for i_c, (cap_j, n) in enumerate(zip(caps_j, n_states)):
             chain = bat.build_chain(dist, n, delta_j, scenario.guard_fraction)
             ploc_t, status = bat.resolve_loss_of_charge(chain)
@@ -371,19 +398,10 @@ def run_battery_experiment(scenario: Scenario, workers: int = 1,
 
     # example state-of-charge trajectories across traffic intensities,
     # with the idle-mode fallback active below the guard threshold
-    harvest_mean = stats.harvest_base_w.mean()
-    harvest_std = stats.harvest_base_w.std(ddof=1)
-    diodes_mean = stats.diode_count.mean()
     cap_j = bat.mah_to_joules(scenario.capacity_mah, scenario.battery_voltage)
     n_soc = scenario.soc_trace_periods
     socs = []
-    for i_z, zeta in enumerate(scenario.zeta_sweep):
-        active_w = frame_power(harvest_mean, diodes_mean, zeta,
-                               scenario.p_on_watts, scenario.controller_run_w).net
-        idle_w = frame_power(harvest_mean, 0, nu * zeta, scenario.p_on_watts,
-                             scenario.controller_idle_w).net
-        active = step_dist(active_w, zeta * harvest_std, step_s, delta_j)
-        idle = step_dist(idle_w, nu * zeta * harvest_std, step_s, delta_j)
+    for i_z, (active, idle) in enumerate(soc_dists):
         rng = _rng(scenario, _EXP_BATTERY, 1000 + i_z)
         _, soc = bat.simulate_trace(active, cap_j, delta_j,
                                     scenario.guard_fraction, n_soc, rng,

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -308,6 +309,73 @@ def scalar_trace(source, capacity, delta, gamma, n_periods, initial_soc=None,
     return ploc, states.astype(float) * delta
 
 
+def predecessor_walk(steps, bounds, start, top):
+    """The recursive clamp-map scan as the trace ran it before narrow integer
+    segments: int32 states below top 2**30 (else int64), int64 block sums,
+    blocks of 16. The reference for battery._walk_blocks."""
+    b = 16
+    n_blocks = steps.size // b
+    n_body = n_blocks * b
+    dtype = np.int32 if top < 2 ** 30 else np.int64
+    out = np.empty(steps.size, dtype)
+    x = start
+    if n_blocks:
+        rows = np.empty(n_body, dtype).reshape(b, n_blocks)
+        body = steps[:n_body].reshape(n_blocks, b)
+        for j in range(0, n_blocks, 1024):
+            rows[:, j:j + 1024] = body[j:j + 1024].T
+        span = np.array([[0], [top]], dtype).repeat(n_blocks, axis=1)
+        row_bounds = [span] * b if bounds is None else \
+            bounds[:, :n_body].reshape(2, n_blocks, b).transpose(2, 0, 1).copy()
+
+        def sweep(x, write):
+            for k, (lo, hi) in enumerate(row_bounds):
+                y = rows[k] if write else x
+                np.add(x, rows[k], out=y)
+                np.maximum(y, lo, out=y)
+                np.minimum(y, hi, out=y)
+                x = y
+
+        sums = rows.sum(axis=0, dtype=np.int64)
+        np.clip(sums, -top, top, out=sums)
+        lo_hi = span.copy()
+        sweep(lo_hi, write=False)
+        ends = predecessor_walk(sums, lo_hi, start, top)
+        starts = np.roll(ends, 1)
+        starts[0], x = start, int(ends[-1])
+        sweep(starts, write=True)
+        out[:n_body].reshape(n_blocks, b)[...] = rows.T
+    tail_bounds = repeat((0, top)) if bounds is None \
+        else bounds[:, n_body:].T.tolist()
+    for t, (a, (lo, hi)) in enumerate(zip(steps[n_body:].tolist(), tail_bounds),
+                                      n_body):
+        x = min(max(x + int(a), lo), hi)
+        out[t] = x
+    return out
+
+
+def predecessor_trace(source, capacity, delta, gamma, n_periods, rng,
+                      initial_soc=None, burn_in=0):
+    """(p_LoC, states) of the trace as the walk made it before narrow integer
+    segments: float steps floor(dE/delta) clipped to [-top, top], drawn and
+    walked 2**18 periods at a time by :func:`predecessor_walk`, and the
+    states at or below the guard counted chunk by chunk."""
+    s = states_for_capacity(capacity, delta)
+    guard, top = int(np.floor(gamma * (s - 1))), s - 1
+    state = top if initial_soc is None else int(round(
+        min(max(initial_soc, 0.0), capacity) / delta))
+    states, below, chunk = np.empty(n_periods, np.int64), 0, 2 ** 18
+    for start in range(0, n_periods, chunk):
+        stop = min(start + chunk, n_periods)
+        energies = source.sample(rng, stop - start) \
+            if isinstance(source, NetEnergyDist) else source[start:stop]
+        steps = np.clip(np.floor(energies / delta), -top, top)
+        walked = predecessor_walk(steps, None, state, top)
+        below += int(np.count_nonzero(walked[max(burn_in - start, 0):] <= guard))
+        states[start:stop], state = walked, int(walked[-1])
+    return below / (n_periods - burn_in), states
+
+
 def linear_size_battery(dist, delta_grid, target_ploc, gamma, s_max=200):
     """Scans S = 2..s_max for every delta: the reference for size_battery's
     bisection."""
@@ -354,6 +422,26 @@ def assert_closed_classes_match_reference(psi):
             stationary(chain)
         detail = "; ".join(str(c) for c in sorted(want_closed))  # by smallest state
         assert str(err.value) == f"reducible chain: closed class(es) {detail}"
+
+
+def assert_trace_at_a_dtype_limit_equals_scalar_loop(top):
+    """Steps at and past +-top, far steps and small ones: both traces equal
+    the scalar loop at a top where the state type may change."""
+    rng = np.random.default_rng(top)
+    n = 3000
+    near_ends = rng.choice([-top - 1, -top, -top + 1, -1, 0, 1,
+                            top - 1, top, top + 1], n)
+    far = rng.integers(-2 ** 62, 2 ** 62, n, endpoint=True)
+    small = rng.integers(-3, 3, n, endpoint=True)
+    pick = rng.integers(0, 3, n)
+    source = np.choose(pick, [near_ends, far, small]) + 0.25
+    got = simulate_trace(source, float(top), 1.0, 0.1, n,
+                         np.random.default_rng(0), burn_in=n // 7)
+    want = scalar_trace(source, float(top), 1.0, 0.1, n, burn_in=n // 7)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert same_bits(trace_loss_of_charge(source, float(top), 1.0, 0.1, n, None,
+                                          burn_in=n // 7), want[0])
 
 
 class TestVectorizedAgainstScalar:
@@ -403,19 +491,12 @@ class TestVectorizedAgainstScalar:
 
     @pytest.mark.parametrize("top", [2 ** 30 - 1, 2 ** 30])  # int32, int64 rows
     def test_trace_at_the_int32_limit_equals_scalar_loop(self, top):
-        rng = np.random.default_rng(top)
-        n = 3000
-        near_ends = rng.choice([-top - 1, -top, -top + 1, -1, 0, 1,
-                                top - 1, top, top + 1], n)
-        far = rng.integers(-2 ** 62, 2 ** 62, n, endpoint=True)
-        small = rng.integers(-3, 3, n, endpoint=True)
-        pick = rng.integers(0, 3, n)
-        source = np.choose(pick, [near_ends, far, small]) + 0.25
-        got = simulate_trace(source, float(top), 1.0, 0.1, n,
-                             np.random.default_rng(0))
-        want = scalar_trace(source, float(top), 1.0, 0.1, n)
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1])
+        assert_trace_at_a_dtype_limit_equals_scalar_loop(top)
+
+    # the int8 and int16 state types end at top 63 and 2**14 - 1
+    @pytest.mark.parametrize("top", [63, 64, 2 ** 14 - 1, 2 ** 14])
+    def test_trace_at_the_narrow_limits_equals_scalar_loop(self, top):
+        assert_trace_at_a_dtype_limit_equals_scalar_loop(top)
 
     def test_sampled_trace_equals_scalar_loop(self):
         # a Gaussian source: same draws, same trace, over many blocks
@@ -557,6 +638,83 @@ class TestStreamedTrace:
                 pytest.raises(ValueError, match="nan in 3 of 50 periods"):
             simulate(dist, 100.0, 5.0, 0.1, 50, np.random.default_rng(0))
         assert calls == [16, 16, 16, 2]
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.sampled_from(("array", "gaussian")), st.integers(1, 300),
+           st.integers(1, 3000), st.sampled_from((1, 7, 37, 1000, 2 ** 18)),
+           st.sampled_from((1, 16, 45, 100, 2 ** 20)),
+           st.sampled_from((2, 3, 16)), st.sampled_from((0.5, 1.0, 3.0)),
+           st.sampled_from((0.0, 0.1, 0.5)), st.data())
+    # chunks of 37 in segments of 45 periods, 3 periods per block: no two
+    # of the sizes divide each other
+    @example(kind="gaussian", top=63, n=1000, chunk=37, segment=45, block=3,
+             delta=1.0, gamma=0.1, data=None)
+    def test_segmented_walk_equals_predecessor(self, kind, top, n, chunk,
+                                               segment, block, delta, gamma,
+                                               data):
+        # tops 1-300 walk int8 and int16 states, their block sums int8 or int16
+        if data is None:
+            seed, spread, burn_in, initial_soc = 9, 1.0, 100, None
+        else:
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            spread = data.draw(st.floats(0.1, 3.0), label="spread")
+            burn_in = data.draw(st.integers(0, n - 1), label="burn_in")
+            initial_soc = data.draw(st.one_of(
+                st.none(), st.floats(0.0, top * delta)), label="initial_soc")
+        capacity = top * delta
+        if kind == "gaussian":
+            source = NetEnergyDist.gaussian(0.1 * capacity, spread * capacity)
+        else:
+            source = np.random.default_rng(seed).normal(
+                0.1 * capacity, spread * capacity, n)
+        with mock.patch.multiple(battery, _CHUNK=chunk, _SEGMENT=segment,
+                                 _BLOCK=block):
+            ploc = trace_loss_of_charge(source, capacity, delta, gamma, n,
+                                        np.random.default_rng(seed),
+                                        burn_in=burn_in)
+            _, soc = simulate_trace(source, capacity, delta, gamma, n,
+                                    np.random.default_rng(seed),
+                                    initial_soc=initial_soc, burn_in=burn_in)
+        want = predecessor_trace(source, capacity, delta, gamma, n,
+                                 np.random.default_rng(seed), burn_in=burn_in)
+        assert same_bits(ploc, want[0])
+        from_soc = predecessor_trace(source, capacity, delta, gamma, n,
+                                     np.random.default_rng(seed),
+                                     initial_soc=initial_soc)
+        assert np.array_equal(soc, np.multiply(from_soc[1], delta))
+
+    @pytest.mark.parametrize("simulate", [simulate_trace, trace_loss_of_charge])
+    @pytest.mark.parametrize("chunk, segment", [(2 ** 18, 2 ** 20), (37, 45),
+                                                (45, 37)])
+    def test_array_source_is_left_untouched(self, simulate, chunk, segment):
+        # steps far past +-top too: the quotient is clipped in its own buffer
+        source = np.random.default_rng(3).normal(0.0, 400.0, 1000)
+        before = source.copy()
+        with mock.patch.multiple(battery, _CHUNK=chunk, _SEGMENT=segment):
+            simulate(source, 100.0, 5.0, 0.1, 1000, np.random.default_rng(0))
+        assert np.array_equal(source.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("chunk, segment", [
+        (None, None),  # the defaults: one segment at 1e6 periods, four at 4e6
+        (30_011, 50_003)])  # sizes that divide neither each other nor _BLOCK
+    def test_peak_memory_does_not_grow_with_the_trace(self, chunk, segment):
+        # an int8 segment of 2**20 periods is 48,576 periods longer than the
+        # whole 1e6 trace, its buffers a few bytes a period: 256 kB of slack
+        dist = NetEnergyDist.gaussian(15.0, 110.0)
+        chunk, segment = chunk or battery._CHUNK, segment or battery._SEGMENT
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                trace_loss_of_charge(dist, 1500.0, 100.0, 0.1, n,
+                                     np.random.default_rng(42), burn_in=n // 100)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with mock.patch.multiple(battery, _CHUNK=chunk, _SEGMENT=segment):
+            peak(1000)  # numpy's first-call allocations stay out of the peaks
+            assert peak(4 * 10 ** 6) <= peak(10 ** 6) + 2 ** 18
 
     def test_million_period_ploc_stays_under_one_period_array(self):
         # the p_LoC cell of a table1.json run; one float64 array of its
