@@ -46,9 +46,12 @@ class ArrayGeometry:
         if self.center.shape != (3,) or self.element_offsets.ndim != 2 \
                 or self.element_offsets.shape[1] != 3:
             raise ValueError("center must be a 3-vector and offsets (n, 3)")
-        # 1e-12 m, or 1e-12 of the extent where the mean's rounding is larger
-        tol = 1e-12 * np.abs(self.element_offsets).max(initial=1.0)
-        if np.abs(self.element_offsets.mean(axis=0)).max() > tol:
+        if not np.isfinite(self.element_offsets).all():
+            raise ValueError("element offsets must be finite")
+        # within 1e-12 m, or 1e-12 of the extent where the mean's rounding is
+        # larger; offsets scaled to at most 1 so that their sum cannot overflow
+        scale = np.abs(self.element_offsets).max(initial=1.0)
+        if np.abs((self.element_offsets / scale).mean(axis=0)).max() > 1e-12:
             raise ValueError("element offsets must be symmetric about the center")
         if self.n_elements != self.nx * self.nz:
             raise ValueError("array requires nx*nz elements")

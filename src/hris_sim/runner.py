@@ -170,8 +170,11 @@ def _block(task):
     """Realize one block of a point's drops and apply the drop function to
     each drop's channels."""
     drop_fn, sc, context, tags, drops = task
-    block = realize_channels(sc, [_rng(sc, *tags, d) for d in drops])
-    return [drop_fn(sc, context, channels) for channels in block]
+    # no floating-point warnings: a drop that goes non-finite is reported by
+    # the check of its experiment (the sum rate, step_dist) naming the fields
+    with np.errstate(all="ignore"):
+        block = realize_channels(sc, [_rng(sc, *tags, d) for d in drops])
+        return [drop_fn(sc, context, channels) for channels in block]
 
 
 def _map_drops(drop_fn, points, workers: int):
@@ -189,13 +192,23 @@ def _map_drops(drop_fn, points, workers: int):
 
 
 def _sumrate_drop(sc: Scenario, codebooks, channels):
-    """One drop's sum rate per scheme and direct fractions, scheme-major."""
+    """One drop's sum rate per scheme and direct fractions, scheme-major. A
+    sum rate that is not finite raises a ScenarioError naming the fields
+    behind it."""
     budgets = []
     for scheme in sc.schemes:
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
         h_eff = effective_channels(channels, theta, sc.eta)
         w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
-        budgets.append(evaluate(h_eff, channels.h_d, w, sc.noise_watts))
+        budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
+        if not np.isfinite(budget.sum_rate):
+            raise ScenarioError(
+                f"the sum rate of {scheme} at k_users {sc.k_users} is not "
+                f"finite ({budget.sum_rate}): it follows from the link "
+                "budget of p_dbm, noise_dbm, fc_ghz, gamma0, d0_m, chi_los, "
+                "chi_nlos, bs_position, hris_position, area_min, area_max "
+                "and ue_height_m")
+        budgets.append(budget)
     return ([b.sum_rate for b in budgets],
             np.concatenate([b.direct_power_fraction for b in budgets]))
 

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .battery import mah_to_joules
-from .geometry import MIN_DISTANCE_M
+from .geometry import C0, MIN_DISTANCE_M
 
 log = logging.getLogger(__name__)
 
@@ -65,7 +65,8 @@ _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 _AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _FRACTION = (lambda v: 0 <= v <= 1, "in [0, 1]")
 _POWER_DBM = (lambda v: 0 < _dbm_to_watts(v) < math.inf, "a finite, positive power")
-_CARRIER_GHZ = (lambda v: 0 < v * 1e9 < math.inf, "a finite, positive carrier in Hz")
+_CARRIER_GHZ = (lambda v: v > 0 and 0 < C0 / (v * 1e9) < math.inf,
+                "a positive carrier in Hz whose wavelength is finite and nonzero")
 _Q_BITS = (lambda v: 1 <= v <= MAX_Q_BITS, f"in [1, {MAX_Q_BITS}]")
 _SCHEME = (lambda v: v in FIXED_SCHEMES or _Q_BITS[0](probe_scheme_bits(v) or 0),
            f"{', '.join(map(repr, FIXED_SCHEMES))} or 'probe-q<B>' with B {_Q_BITS[1]}")
@@ -285,9 +286,8 @@ def load_scenario(path) -> Scenario:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno} column "
+                            f"{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past the digit limit
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):

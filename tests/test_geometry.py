@@ -44,10 +44,22 @@ def test_ula_equals_the_reference_layout_bit_for_bit(n, spacing):
 
 
 # at 150 km spacing the mean of these symmetric layouts rounded past the
-# absolute 1e-12 m that the centroid check allowed
+# absolute 1e-12 m that the centroid check allowed; at 1e307 m the sum of
+# their offsets overflowed
 def test_wide_spacing_layouts_construct():
     assert planar(TABLE1_HRIS, 8, 4, WIDE).n_elements == 32
     assert ula(TABLE1_BS, 128, WIDE).n_elements == 128
+    assert planar(TABLE1_HRIS, 16, 16, 1e307).n_elements == 256
+    assert ula(TABLE1_BS, 36, 1e307).n_elements == 36
+
+
+# a NaN or an infinite offset passed the centroid check
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_offsets_rejected(bad):
+    offsets = planar(TABLE1_HRIS, 8, 4, 5e-3).element_offsets
+    offsets[3, 1] = bad
+    with pytest.raises(ValueError, match="offsets must be finite"):
+        ArrayGeometry(TABLE1_HRIS, offsets, nx=8, nz=4)
 
 
 @pytest.mark.parametrize("spacing", [5e-3, WIDE])

@@ -153,8 +153,9 @@ def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
     ("hris_position", [-25.0, 25.0, 6.0]),
     ("p_dbm", 1e308), ("p_dbm", -1e308), ("noise_dbm", 1e6),
     ("noise_dbm", -1e308),
-    # an infinite carrier in Hz gave a zero wavelength: ZeroDivisionError
-    ("fc_ghz", 1e308),
+    # an infinite carrier in Hz gave a zero wavelength: ZeroDivisionError;
+    # an infinite wavelength ran sumrate to NaN sum rates with exit 0
+    ("fc_ghz", 1e308), ("fc_ghz", 1e-309),
     # probe-q0, probe-q64 and probe-q1000000 exited 1 with a ValueError or
     # OverflowError traceback; 33 bits ran, and is the first past MAX_Q_BITS
     *(pytest.param("schemes", ["idle", s], id=f"schemes-{s}") for s in
@@ -215,15 +216,36 @@ def _numbers(path):
 
 
 # half a wavelength at 1e-6 GHz is 150 km, and the mean of the symmetric
-# array layout rounded past the centroid check's absolute 1e-12 m: exit 1
+# array layout rounded past the centroid check's absolute 1e-12 m: exit 1; at
+# 1e-308 and 3e-309 GHz the sum of the layout's offsets overflowed: exit 1
 @pytest.mark.parametrize("experiment", ["sumrate", "energy"])
 def test_kilohertz_carrier_runs_to_finite_csvs(tmp_path, experiment):
-    path = tmp_path / "sc.json"
-    path.write_text(json.dumps({**_SMALL.to_dict(), "fc_ghz": 1e-6}))
-    assert cli_main(["run", "--config", str(path), "--experiment", experiment,
-                     "--out", str(tmp_path / "out")]) == 0
-    csvs = sorted((tmp_path / "out").glob("*.csv"))
-    assert csvs and all(math.isfinite(v) for p in csvs for v in _numbers(p))
+    for fc_ghz in (1e-6, 1e-308, 3e-309):
+        path, out = tmp_path / f"{fc_ghz}.json", tmp_path / f"out-{fc_ghz}"
+        path.write_text(json.dumps({**_SMALL.to_dict(), "fc_ghz": fc_ghz}))
+        assert cli_main(["run", "--config", str(path), "--experiment",
+                         experiment, "--out", str(out)]) == 0
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs and all(math.isfinite(v) for p in csvs
+                            for v in _numbers(p))
+
+
+# each case ran sumrate to NaN sum rates with exit 0: a pathloss, power or
+# distance at a float limit makes the link budget non-finite within a drop
+@pytest.mark.parametrize("name, bad", [
+    ("d0_m", 1e308), ("d0_m", 1e-300), ("gamma0", 1e308), ("p_dbm", -3000.0),
+    ("noise_dbm", 3000.0), ("ue_height_m", 1e308),
+    pytest.param("bs_position", [1e308, 25.0, 6.0], id="bs_position-x1e308"),
+    pytest.param("area_max", [1e308, 50.0], id="area_max-x1e308")])
+def test_non_finite_sum_rate_is_a_config_error(tmp_path, capsys, name, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_SMALL.to_dict(), name: bad}))
+    rc = cli_main(["run", "--config", str(path), "--experiment", "sumrate",
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sum rate" in err and name in err
+    assert not (tmp_path / "out").exists()
 
 
 # JSON's NaN and Infinity load as floats: a NaN p_dbm ran sumrate to nan sum
