@@ -88,6 +88,13 @@ CASES = {
                                     p_on_sweep_mw=(0.215, 0.22, 0.225),
                                     mc_step_s=2 * 604800.0),
                             "battery", 1),
+    # 2^21 + 17 periods: two whole 2^20-period walk segments, then one block
+    # and one trailing period; at 0.225 mW both traces cross the guard, at
+    # an int8 top (6 states) and an int16 top (71 states)
+    "battery-multi-segment": (replace(SMALL, battery_trace_periods=2 ** 21 + 17,
+                                      p_on_sweep_mw=(0.225,),
+                                      capacity_sweep_mah=(100.0, 1400.0)),
+                              "battery", 1),
 }
 
 # recorded with numpy 2.4.6 and scipy 1.17.1, before the energy accounting,
@@ -102,13 +109,20 @@ CASES = {
 # and energy-unsorted recorded with the same versions before the report
 # sections became structured arrays; energy-repeat-workers2 recorded with the
 # same versions, under the SkylakeX OpenBLAS kernel, before the energy run
-# mapped all its surfaces in one pass
+# mapped all its surfaces in one pass; battery-multi-segment recorded with
+# the same versions before each walk segment drew its own chunks
 GOLDEN = {
     "battery": {
         "battery_ploc.csv":
             "28e1e0ff91bcffe40b3c72d781e5a36abaed71aed95b1e40f8b037a8fc60bbbe",
         "battery_soc.csv":
             "da77ea4168bd5d5c9ffced723c0bb3a5f27cfe4696aa8d832354e818be24bdec",
+    },
+    "battery-multi-segment": {
+        "battery_ploc.csv":
+            "99cd822773763680efdebe5abb247d828f083da1bc692a87512c1b28ae7357ec",
+        "battery_soc.csv":
+            "c64c6339fe127febb3a19fd8b20252aee5beb43d5b9cc99d1cf83ef756b220a5",
     },
     "battery-odd-periods": {
         "battery_ploc.csv":
