@@ -374,11 +374,12 @@ def _step_segments(source, delta: float, top: int, n_periods: int, rng):
     """Yield (offset, steps) over the trace, up to _SEGMENT periods at a time.
 
     ``source`` is a NetEnergyDist, drawn with ``sample(rng, k)`` up to
-    _CHUNK periods at a time (chunked draws equal one draw), or an array of
-    net energies, sliced. The steps floor(dE/delta), clipped to [-top, top]
-    (which changes no state), are integers of :func:`_state_dtype` in one
-    reused buffer that the next segment overwrites. Non-finite energies
-    raise a ValueError naming them, counted over the whole trace.
+    _CHUNK periods at a time, each draw cut at its segment's end (chunked
+    draws equal one draw), or an array of net energies, sliced. The steps
+    floor(dE/delta), clipped to [-top, top] (which changes no state), are
+    integers of :func:`_state_dtype` in one buffer that the next segment
+    overwrites. Non-finite energies raise a ValueError naming them, counted
+    over the whole trace.
     """
     if isinstance(source, NetEnergyDist):
         def energies(start, stop):
@@ -390,31 +391,26 @@ def _step_segments(source, delta: float, top: int, n_periods: int, rng):
 
         def energies(start, stop):
             return values[start:stop]
-    size = min(_CHUNK, n_periods)
-    quotient = np.empty(size)
+    quotient = np.empty(min(_CHUNK, n_periods))
     steps = np.empty(min(_SEGMENT, n_periods), _state_dtype(top))
-    fill = 0  # steps of the current segment
-    for start in range(0, n_periods, size):
-        stop = min(start + size, n_periods)
-        chunk = energies(start, stop)
-        if not np.isfinite(chunk).all():
-            bad = np.concatenate([e[~np.isfinite(e)] for e in (chunk, *(
-                energies(a, min(a + size, n_periods))
-                for a in range(stop, n_periods, size)))])
-            raise ValueError(f"non-finite net energies {', '.join(map(str, np.unique(bad)))}"
-                             f" in {bad.size} of {n_periods} periods")
-        q = np.divide(chunk, delta, out=quotient[:stop - start])
-        del chunk  # a draw held across the yield would double its memory
-        # the floor of q clipped to the whole numbers +-top is the floored
-        # step clipped; the clipped floats cast to the narrow type exactly
-        np.clip(q, -top, top, out=q)
-        while q.size:  # a chunk may end one segment and start the next
-            k = min(steps.size - fill, q.size)
-            np.floor(q[:k], out=steps[fill:fill + k], casting="unsafe")
-            q, fill = q[k:], fill + k
-            if fill == steps.size or stop - q.size == n_periods:
-                yield stop - q.size - fill, steps[:fill]
-                fill = 0
+    for seg in range(0, n_periods, _SEGMENT):
+        end = min(seg + _SEGMENT, n_periods)
+        for start in range(seg, end, _CHUNK):
+            stop = min(start + _CHUNK, end)
+            chunk = energies(start, stop)
+            if not np.isfinite(chunk).all():
+                bad = np.concatenate([e[~np.isfinite(e)] for e in (chunk, *(
+                    energies(a, min(a + _CHUNK, n_periods))
+                    for a in range(stop, n_periods, _CHUNK)))])
+                raise ValueError(f"non-finite net energies {', '.join(map(str, np.unique(bad)))}"
+                                 f" in {bad.size} of {n_periods} periods")
+            q = np.divide(chunk, delta, out=quotient[:stop - start])
+            del chunk  # a draw held across the yield would double its memory
+            # the floor of q clipped to the whole numbers +-top is the floored
+            # step clipped; the clipped floats cast to the narrow type exactly
+            np.clip(q, -top, top, out=q)
+            np.floor(q, out=steps[start - seg:stop - seg], casting="unsafe")
+        yield seg, steps[:end - seg]
 
 
 _BLOCK = 16  # maps per block of the scan
