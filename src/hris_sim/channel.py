@@ -7,7 +7,7 @@ import numpy as np
 
 from .geometry import (HALF_WAVE, MIN_DISTANCE_M, Radio, array_response,
                        planar, ula)
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 
 @dataclass
@@ -192,6 +192,13 @@ def realize_channels(scenario: Scenario, rng):
         draws[1, i] = _draw_los(r, ue[i], field, g)
         if not always:
             draws_bs_hris[i] = _draw_los(b, r[None], field, g)[0]
+    for name, p in (("bs_position", b), ("hris_position", r)):
+        gap = ue - p  # the distance pathloss would reject, by the same bits
+        if np.any(np.sqrt(np.vecdot(gap, gap)) < MIN_DISTANCE_M):
+            raise ScenarioError(
+                f"a UE drawn in the box of area_min {scenario.area_min}, "
+                f"area_max {scenario.area_max} and ue_height_m "
+                f"{scenario.ue_height_m} lies on the array at {name}")
 
     los_bs_ue = _los_flags(draws[0], b, ue, field)
     los_hris_ue = _los_flags(draws[1], r, ue, field)

@@ -37,6 +37,10 @@ _EXP_SUMRATE, _EXP_ENERGY, _EXP_BATTERY = 1, 2, 3
 # complex entries of the stacked channels of one block of drops
 _BLOCK_ENTRIES = 2 ** 17
 
+# the fields behind a drop's link budget, named when it goes non-finite
+_LINK_BUDGET = ("p_dbm, noise_dbm, fc_ghz, gamma0, d0_m, chi_los, chi_nlos, "
+                "bs_position, hris_position, area_min, area_max and ue_height_m")
+
 _section = partial(np.empty, 0)  # a report section with no rows
 
 
@@ -205,9 +209,7 @@ def _sumrate_drop(sc: Scenario, codebooks, channels):
             raise ScenarioError(
                 f"the sum rate of {scheme} at k_users {sc.k_users} is not "
                 f"finite ({budget.sum_rate}): it follows from the link "
-                "budget of p_dbm, noise_dbm, fc_ghz, gamma0, d0_m, chi_los, "
-                "chi_nlos, bs_position, hris_position, area_min, area_max "
-                "and ue_height_m")
+                f"budget of {_LINK_BUDGET}")
         budgets.append(budget)
     return ([b.sum_rate for b in budgets],
             np.concatenate([b.direct_power_fraction for b in budgets]))
@@ -259,10 +261,17 @@ def _energy_drop(sc: Scenario, context, channels):
     the slot-weighted harvest (W, before the traffic factor) and the total
     active-diode count of the held reflection + absorption configs, so
     traffic and per-diode power variations rescale without re-simulation.
+    A sensed power that is not finite raises a ScenarioError naming the
+    fields behind it.
     """
     probing, harvester = context
     bs, v_u, phi_u, theta = _probe_phase(sc, probing, channels)
     p_u = sensed_power(quantize(phi_u, sc.q_bits), v_u, sc.eta, sc.noise_watts)
+    if not np.isfinite([bs.power, p_u]).all():
+        raise ScenarioError(
+            f"the sensed power of the {sc.n_hris_elements}-element {sc.q_bits}"
+            f"-bit surface is not finite (BS {bs.power} W, UEs {p_u} W): it "
+            f"follows from the link budget of {_LINK_BUDGET}")
     return (slot_harvest(harvester, sc.n_dl_slots, sc.n_ul_slots, bs.power,
                          p_u), diode_count(theta) + bs.diodes)
 

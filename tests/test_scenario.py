@@ -248,6 +248,44 @@ def test_non_finite_sum_rate_is_a_config_error(tmp_path, capsys, name, bad):
     assert not (tmp_path / "out").exists()
 
 
+# each case stopped in step_dist on a NaN harvest, naming mc_step_s and the
+# power fields but not the field behind the non-finite sensed power
+@pytest.mark.parametrize("experiment", ["energy", "battery"])
+@pytest.mark.parametrize("name, bad", [
+    ("d0_m", 1e308), ("d0_m", 1e-300), ("ue_height_m", 1e308),
+    pytest.param("bs_position", [1e308, 25.0, 6.0], id="bs_position-x1e308"),
+    pytest.param("area_max", [1e308, 50.0], id="area_max-x1e308")])
+def test_non_finite_sensed_power_is_a_config_error(tmp_path, capsys,
+                                                   experiment, name, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_SMALL.to_dict(), name: bad}))
+    rc = cli_main(["run", "--config", str(path), "--experiment", experiment,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sensed power" in err and name in err
+    assert not (tmp_path / "out").exists()
+
+
+# a UE box shrunk onto an array at its height puts every UE on the array:
+# pathloss raised a ValueError from inside the drop and the run exited 1
+@pytest.mark.parametrize("experiment", ["sumrate", "energy"])
+@pytest.mark.parametrize("corner, array", [((0.0, 0.0), "hris_position"),
+                                           ((-25.0, 25.0), "bs_position")])
+def test_ue_box_on_an_array_is_a_config_error(tmp_path, capsys, experiment,
+                                              corner, array):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_SMALL.to_dict(), "area_min": corner,
+                                "area_max": corner, "ue_height_m": 6.0}))
+    rc = cli_main(["run", "--config", str(path), "--experiment", experiment,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in
+               ("area_min", "area_max", "ue_height_m", array))
+    assert not (tmp_path / "out").exists()
+
+
 # JSON's NaN and Infinity load as floats: a NaN p_dbm ran sumrate to nan sum
 # rates with exit 0, and an infinite one exited 1 from a singular solve
 @pytest.mark.parametrize("name, bad", [
