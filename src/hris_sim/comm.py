@@ -41,7 +41,9 @@ def rzf_precoder(h_eff: np.ndarray, p_total: float, noise_var: float) -> np.ndar
     m, k = h_eff.shape
     mu = k * noise_var / p_total
     gram = h_eff @ h_eff.conj().T
-    gram.flat[::m + 1] += mu
+    # the product is a fresh C-contiguous array, so the reshape is a view
+    diag = gram.reshape(-1)[::m + 1]
+    diag += mu
     x = np.linalg.solve(gram, h_eff)
     nrm = np.linalg.norm(x)
     x *= np.sqrt(p_total)

@@ -146,7 +146,7 @@ def test_warm_rzf_precoder_faults_in_few_pages():
     assert float(child.stdout) < 8.0
 
 
-def test_rzf_precoder_threads_keep_their_own_buffers():
+def test_rzf_precoder_concurrent_calls_equal_the_serial_reference():
     # numpy releases the GIL inside matmul and solve, so threads sharing any
     # storage would overwrite each other's results; more threads than cores
     # and a short switch interval make them interleave
