@@ -37,6 +37,9 @@ _EXP_SUMRATE, _EXP_ENERGY, _EXP_BATTERY = 1, 2, 3
 # complex entries of the stacked channels of one block of drops
 _BLOCK_ENTRIES = 2 ** 17
 
+# rows of a report section filled or written to CSV at a time
+_CHUNK_ROWS = 4096
+
 # the fields behind a drop's link budget, named when it goes non-finite
 _LINK_BUDGET = ("p_dbm, noise_dbm, fc_ghz, gamma0, d0_m, chi_los, chi_nlos, "
                 "bs_position, hris_position, area_min, area_max and ue_height_m")
@@ -215,6 +218,29 @@ def _sumrate_drop(sc: Scenario, codebooks, channels):
             np.concatenate([b.direct_power_fraction for b in budgets]))
 
 
+def _per_ue(drops: np.ndarray, fractions) -> np.ndarray:
+    """The direct_fraction section: one row per user of each ``drops`` row,
+    in user order, with that row's scheme, k_users, seed and drop, the user
+    index and its entry of the concatenated ``fractions``. The section is
+    allocated once and filled ``_CHUNK_ROWS`` rows at a time, so no column
+    is ever held twice in full."""
+    keys = ("scheme", "k_users", "seed", "drop")
+    n_ues = drops["k_users"]
+    ends = np.cumsum(n_ues)
+    firsts = ends - n_ues
+    direct = np.empty(n_ues.sum(), [*((k, drops.dtype[k]) for k in keys),
+                                    ("ue", int), ("direct_power_fraction", float)])
+    np.concatenate(fractions, out=direct["direct_power_fraction"])
+    for start in range(0, len(direct), _CHUNK_ROWS):
+        chunk = direct[start:start + _CHUNK_ROWS]
+        rows = np.arange(start, start + len(chunk))
+        owner = np.searchsorted(ends, rows, side="right")
+        for k in keys:
+            chunk[k] = drops[k][owner]
+        chunk["ue"] = rows - firsts[owner]
+    return direct
+
+
 def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     """Average sum-rate per scheme over the K sweep, with per-drop provenance."""
     validate_run(scenario, "sumrate", workers)
@@ -238,14 +264,8 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     drops = _table(scheme=np.tile(scenario.schemes, at.size),
                    k_users=np.array(ks)[k_at], seed=scenario.seed, drop=drop,
                    sum_rate_bps_hz=np.concatenate(rates))
-    # one row per user of each drops row, in user order
-    n_ues = drops["k_users"]
-    direct = _table(**{c: np.repeat(drops[c], n_ues) for c in
-                       ("scheme", "k_users", "seed", "drop")},
-                    ue=np.concatenate([np.arange(k) for k in n_ues]),
-                    direct_power_fraction=np.concatenate(fracs))
     return RunReport(
-        sumrate_drops=drops, direct_fraction=direct,
+        sumrate_drops=drops, direct_fraction=_per_ue(drops, fracs),
         sumrate_summary=_summary(
             drops, ("scheme", "k_users", "seed"),
             mean_sum_rate_bps_hz=("sum_rate_bps_hz", np.mean),
@@ -443,7 +463,8 @@ def emit_csv(report: RunReport, out_dir) -> list:
     """Write every populated report section as <section>.csv; returns paths.
 
     Output is byte-deterministic for a fixed report: the section's column
-    order, shortest-round-trip float formatting, and "\\n" newlines.
+    order, shortest-round-trip float formatting, and "\\n" newlines. Each
+    section is converted and written ``_CHUNK_ROWS`` rows at a time.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -455,6 +476,9 @@ def emit_csv(report: RunReport, out_dir) -> list:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.dtype.names)
-            writer.writerows(zip(*(table[c].tolist() for c in table.dtype.names)))
+            for start in range(0, len(table), _CHUNK_ROWS):
+                chunk = table[start:start + _CHUNK_ROWS]
+                writer.writerows(zip(*(chunk[c].tolist()
+                                       for c in table.dtype.names)))
         written.append(path)
     return written

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hris_sim import runner
@@ -17,7 +17,7 @@ from hris_sim.geometry import Radio, planar
 from hris_sim.hris import (build_codebook, compose_reflection,
                            incident_from_bs, incident_from_ues, probe, quantize,
                            sensed_power)
-from hris_sim.runner import (_EXP_ENERGY, _EXP_SUMRATE, RunReport,
+from hris_sim.runner import (_EXP_ENERGY, _EXP_SUMRATE, RunReport, _per_ue,
                              _probe_codebooks, _reflection_for_scheme, _rng,
                              _summary, _table, battery_drop_stats, emit_csv,
                              run_battery_experiment, run_energy_experiment,
@@ -43,6 +43,10 @@ def test_sumrate_report_shape_and_provenance():
     assert ks == set(SMALL.k_sweep)
     # per-UE direct fractions carry full provenance too
     assert len(report.direct_fraction) == sum(k for k in SMALL.k_sweep) * SMALL.n_drops * 3
+    fracs = np.split(report.direct_fraction["direct_power_fraction"],
+                     np.cumsum(report.sumrate_drops["k_users"])[:-1])
+    _assert_bitwise_equal(report.direct_fraction,
+                          _repeated_per_ue(report.sumrate_drops, fracs))
 
 
 def test_schemes_share_channel_drops():
@@ -281,6 +285,43 @@ def test_blocked_drop_stats_stay_within_their_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2 ** 20, peak
+
+
+def test_sumrate_report_is_built_and_written_within_its_memory_budget(
+        tmp_path, monkeypatch):
+    # coverage.json at 50 drops: a 4.4 MB report, 4.3 MB of it the
+    # 43,200-row direct_fraction section. Building the report from the drop
+    # map's results peaks 1.09x the report above what the map left held with
+    # the section filled in chunks, and 1.99x with its drops-level columns
+    # repeated in full first. Emission, traced with the report already held,
+    # peaks at 0.17x the section converted 4,096 rows at a time and 1.26x
+    # converted at once.
+    sc = replace(load_scenario(default_scenario_path().with_name(
+        "coverage.json")), n_drops=50)
+    map_drops, after_map = runner._map_drops, []
+
+    def map_then_reset(*args):
+        results = map_drops(*args)
+        after_map.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return results
+
+    monkeypatch.setattr(runner, "_map_drops", map_then_reset)
+    tracemalloc.start()
+    try:
+        report = run_sumrate_experiment(sc)
+        built = tracemalloc.get_traced_memory()[1] - after_map[0]
+    finally:
+        tracemalloc.stop()
+    held = sum(section.nbytes for section in vars(report).values())
+    assert built < 1.5 * held, (built, held)
+    tracemalloc.start()
+    try:
+        emit_csv(report, tmp_path)
+        emitted = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emitted < report.direct_fraction.nbytes / 4, emitted
 
 
 @pytest.mark.parametrize("run", [run_sumrate_experiment, run_energy_experiment,
@@ -560,12 +601,25 @@ def test_summary_equals_the_row_dict_grouping(rows):
                               equal_nan=True)
 
 
+# one row past a 4,096-row chunk, cut down for the examples below
+_PAST_A_CHUNK = [("idle", 4, i, i / 7, -i / 3)
+                 for i in range(runner._CHUNK_ROWS + 1)]
+
+
 @settings(max_examples=60, deadline=None)
-@given(_DROP_ROWS)
-def test_emitted_bytes_equal_the_per_cell_formatter(tmp_path_factory, rows):
+@given(_DROP_ROWS, st.one_of(st.integers(1, 7), st.just(runner._CHUNK_ROWS)))
+# an empty table, exactly one chunk, and one row past one chunk
+@example([], 3)
+@example(_PAST_A_CHUNK[:3], 3)
+@example(_PAST_A_CHUNK[:4], 3)
+@example(_PAST_A_CHUNK[:-1], runner._CHUNK_ROWS)
+@example(_PAST_A_CHUNK, runner._CHUNK_ROWS)
+def test_emitted_bytes_equal_the_per_cell_formatter(tmp_path_factory, rows,
+                                                    chunk):
     table, dicts = _drop_table(rows)
     out = tmp_path_factory.mktemp("csv")
-    written = emit_csv(RunReport(sumrate_drops=table), out)
+    with mock.patch.object(runner, "_CHUNK_ROWS", chunk):
+        written = emit_csv(RunReport(sumrate_drops=table), out)
     expected = "".join(",".join(_dict_format_cell(row[c]) for c in row) + "\n"
                        for row in dicts)
     if not rows:
@@ -574,3 +628,42 @@ def test_emitted_bytes_equal_the_per_cell_formatter(tmp_path_factory, rows):
     header = "scheme,k_users,seed,rate,power\n"
     assert [p.name for p in written] == ["sumrate_drops.csv"]
     assert written[0].read_text() == header + expected
+
+
+def _repeated_per_ue(drops, fracs):
+    # the direct_fraction section as it was built before the chunked fill:
+    # each drops-level column repeated in full, then copied into the table
+    n_ues = drops["k_users"]
+    return _table(**{c: np.repeat(drops[c], n_ues) for c in
+                     ("scheme", "k_users", "seed", "drop")},
+                  ue=np.concatenate([np.arange(k) for k in n_ues]),
+                  direct_power_fraction=np.concatenate(fracs))
+
+
+def _assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype
+    for name in want.dtype.names:
+        a, b = got[name], want[name]
+        if a.dtype.kind == "f":
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from(["idle", "probe-q2", "oracle-equal-gain"]),
+    st.integers(1, 2100), st.integers(0, 2 ** 40), st.integers(0, 99)),
+    min_size=1, max_size=6),
+    st.one_of(st.integers(1, 7), st.just(runner._CHUNK_ROWS)),
+    st.integers(0, 2 ** 32 - 1))
+def test_per_ue_fill_equals_the_repeated_columns(rows, chunk, seed):
+    # with up to 2,100 users per row, sections of up to 12,600 rows straddle
+    # the 4,096-row chunk, and chunks of 1 to 7 rows cross many boundaries
+    rng = np.random.default_rng(seed)
+    drops = _table(scheme=[r[0] for r in rows], k_users=[r[1] for r in rows],
+                   seed=[r[2] for r in rows], drop=[r[3] for r in rows],
+                   sum_rate_bps_hz=rng.standard_normal(len(rows)))
+    fracs = [rng.random(k) for k in drops["k_users"]]
+    with mock.patch.object(runner, "_CHUNK_ROWS", chunk):
+        _assert_bitwise_equal(_per_ue(drops, fracs),
+                              _repeated_per_ue(drops, fracs))
