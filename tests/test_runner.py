@@ -292,7 +292,7 @@ def test_sumrate_report_is_built_and_written_within_its_memory_budget(
     # coverage.json at 50 drops: a 4.4 MB report, 4.3 MB of it the
     # 43,200-row direct_fraction section. Building the report from the drop
     # map's results peaks 1.09x the report above what the map left held with
-    # the section filled in chunks, and 1.99x with its drops-level columns
+    # the section filled in chunks, and 1.98x with its drops-level columns
     # repeated in full first. Emission, traced with the report already held,
     # peaks at 0.17x the section converted 4,096 rows at a time and 1.26x
     # converted at once.
@@ -601,13 +601,16 @@ def test_summary_equals_the_row_dict_grouping(rows):
                               equal_nan=True)
 
 
+# chunk sizes that cross many row boundaries, and the real one
+_CHUNK_SIZES = st.one_of(st.integers(1, 7), st.just(runner._CHUNK_ROWS))
+
 # one row past a 4,096-row chunk, cut down for the examples below
 _PAST_A_CHUNK = [("idle", 4, i, i / 7, -i / 3)
                  for i in range(runner._CHUNK_ROWS + 1)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(_DROP_ROWS, st.one_of(st.integers(1, 7), st.just(runner._CHUNK_ROWS)))
+@given(_DROP_ROWS, _CHUNK_SIZES)
 # an empty table, exactly one chunk, and one row past one chunk
 @example([], 3)
 @example(_PAST_A_CHUNK[:3], 3)
@@ -631,8 +634,8 @@ def test_emitted_bytes_equal_the_per_cell_formatter(tmp_path_factory, rows,
 
 
 def _repeated_per_ue(drops, fracs):
-    # the direct_fraction section as it was built before the chunked fill:
-    # each drops-level column repeated in full, then copied into the table
+    # the reference builder of the direct_fraction section: each drops-level
+    # column repeated in full, then copied into the table
     n_ues = drops["k_users"]
     return _table(**{c: np.repeat(drops[c], n_ues) for c in
                      ("scheme", "k_users", "seed", "drop")},
@@ -653,9 +656,7 @@ def _assert_bitwise_equal(got, want):
 @given(st.lists(st.tuples(
     st.sampled_from(["idle", "probe-q2", "oracle-equal-gain"]),
     st.integers(1, 2100), st.integers(0, 2 ** 40), st.integers(0, 99)),
-    min_size=1, max_size=6),
-    st.one_of(st.integers(1, 7), st.just(runner._CHUNK_ROWS)),
-    st.integers(0, 2 ** 32 - 1))
+    min_size=1, max_size=6), _CHUNK_SIZES, st.integers(0, 2 ** 32 - 1))
 def test_per_ue_fill_equals_the_repeated_columns(rows, chunk, seed):
     # with up to 2,100 users per row, sections of up to 12,600 rows straddle
     # the 4,096-row chunk, and chunks of 1 to 7 rows cross many boundaries
