@@ -476,18 +476,6 @@ def test_energy_and_battery_runs_validate_once(tmp_path, capsys, monkeypatch,
     assert "n_drops" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("experiment", ["energy", "battery"])
-def test_cli_overflowing_net_energy_is_a_config_error(tmp_path, capsys,
-                                                     experiment):
-    # the harvest overflows to inf, and so would its energy per step
-    scenario = replace(SMALL, harvester_a_w=1e308)
-    assert _cli_run(tmp_path, experiment, scenario=scenario) == 2
-    err = capsys.readouterr().err
-    assert "net energy per step is not finite" in err
-    assert "mc_step_s" in err and "harvester_a_w" in err
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_cli_rejects_workers_below_one(tmp_path, capsys, workers):
     assert _cli_run(tmp_path, "sumrate", "--workers", workers) == 2

@@ -230,60 +230,68 @@ def test_kilohertz_carrier_runs_to_finite_csvs(tmp_path, experiment):
                             for v in _numbers(p))
 
 
-# each case ran sumrate to NaN sum rates with exit 0: a pathloss, power or
-# distance at a float limit makes the link budget non-finite within a drop
-@pytest.mark.parametrize("name, bad", [
-    ("d0_m", 1e308), ("d0_m", 1e-300), ("gamma0", 1e308), ("p_dbm", -3000.0),
-    ("noise_dbm", 3000.0), ("ue_height_m", 1e308),
-    pytest.param("bs_position", [1e308, 25.0, 6.0], id="bs_position-x1e308"),
-    pytest.param("area_max", [1e308, 50.0], id="area_max-x1e308")])
-def test_non_finite_sum_rate_is_a_config_error(tmp_path, capsys, name, bad):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**_SMALL.to_dict(), name: bad}))
-    rc = cli_main(["run", "--config", str(path), "--experiment", "sumrate",
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "sum rate" in err and name in err
-    assert not (tmp_path / "out").exists()
+# the cases of each run-time guard of a value a run computes: per case the
+# experiment, the fields edited in _SMALL and the words the message holds
+# besides the edited fields. Before the guards:
+# - sum rate: sumrate ran to NaN sum rates with exit 0, a pathloss, power
+#   or distance at a float limit making the link budget non-finite;
+# - sensed power: each case stopped in step_dist on a NaN harvest, naming
+#   mc_step_s and the power fields but not the field behind it;
+# - UE box: a box shrunk onto an array at its height puts every UE on the
+#   array, and pathloss raised a ValueError from inside the drop: exit 1;
+# - net energy: the harvest overflows to inf, and so would its energy per
+#   step.
+_LINK_EDGES = {"d0_m-1e+308": {"d0_m": 1e308}, "d0_m-1e-300": {"d0_m": 1e-300},
+               "ue_height_m-1e+308": {"ue_height_m": 1e308},
+               "bs_position-x1e308": {"bs_position": [1e308, 25.0, 6.0]},
+               "area_max-x1e308": {"area_max": [1e308, 50.0]}}
+_RUN_TIME_FAULTS = {
+    "sum rate": [
+        pytest.param("sumrate", edits, ("sum rate",), id=name)
+        for name, edits in {**_LINK_EDGES, "gamma0-1e+308": {"gamma0": 1e308},
+                            "p_dbm--3000.0": {"p_dbm": -3000.0},
+                            "noise_dbm-3000.0": {"noise_dbm": 3000.0}}.items()],
+    "sensed power": [
+        pytest.param(experiment, edits, ("sensed power",),
+                     id=f"{name}-{experiment}")
+        for name, edits in _LINK_EDGES.items()
+        for experiment in ("energy", "battery")],
+    "UE box": [
+        pytest.param(experiment, {"area_min": corner, "area_max": corner,
+                                  "ue_height_m": 6.0}, (array,),
+                     id=f"corner{i}-{array}-{experiment}")
+        for i, (corner, array) in enumerate([((0.0, 0.0), "hris_position"),
+                                             ((-25.0, 25.0), "bs_position")])
+        for experiment in ("sumrate", "energy")],
+    "net energy": [
+        pytest.param(experiment, {"harvester_a_w": 1e308},
+                     ("net energy per step is not finite", "mc_step_s"),
+                     id=experiment) for experiment in ("energy", "battery")]}
 
 
-# each case stopped in step_dist on a NaN harvest, naming mc_step_s and the
-# power fields but not the field behind the non-finite sensed power
-@pytest.mark.parametrize("experiment", ["energy", "battery"])
-@pytest.mark.parametrize("name, bad", [
-    ("d0_m", 1e308), ("d0_m", 1e-300), ("ue_height_m", 1e308),
-    pytest.param("bs_position", [1e308, 25.0, 6.0], id="bs_position-x1e308"),
-    pytest.param("area_max", [1e308, 50.0], id="area_max-x1e308")])
-def test_non_finite_sensed_power_is_a_config_error(tmp_path, capsys,
-                                                   experiment, name, bad):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**_SMALL.to_dict(), name: bad}))
-    rc = cli_main(["run", "--config", str(path), "--experiment", experiment,
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "sensed power" in err and name in err
-    assert not (tmp_path / "out").exists()
+def _run_time_fault_test(guard):
+    """A test that runs each case of ``guard`` through the CLI and expects
+    exit 2, a message holding its words and every edited field, and no
+    --out directory."""
+    @pytest.mark.parametrize("experiment, edits, words", _RUN_TIME_FAULTS[guard])
+    def test(tmp_path, capsys, experiment, edits, words):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**_SMALL.to_dict(), **edits}))
+        rc = cli_main(["run", "--config", str(path), "--experiment",
+                       experiment, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in (*words, *edits))
+        assert not (tmp_path / "out").exists()
+    return test
 
 
-# a UE box shrunk onto an array at its height puts every UE on the array:
-# pathloss raised a ValueError from inside the drop and the run exited 1
-@pytest.mark.parametrize("experiment", ["sumrate", "energy"])
-@pytest.mark.parametrize("corner, array", [((0.0, 0.0), "hris_position"),
-                                           ((-25.0, 25.0), "bs_position")])
-def test_ue_box_on_an_array_is_a_config_error(tmp_path, capsys, experiment,
-                                              corner, array):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({**_SMALL.to_dict(), "area_min": corner,
-                                "area_max": corner, "ue_height_m": 6.0}))
-    rc = cli_main(["run", "--config", str(path), "--experiment", experiment,
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert all(name in err for name in
-               ("area_min", "area_max", "ue_height_m", array))
-    assert not (tmp_path / "out").exists()
+test_non_finite_sum_rate_is_a_config_error = _run_time_fault_test("sum rate")
+test_non_finite_sensed_power_is_a_config_error = _run_time_fault_test(
+    "sensed power")
+test_ue_box_on_an_array_is_a_config_error = _run_time_fault_test("UE box")
+test_cli_overflowing_net_energy_is_a_config_error = _run_time_fault_test(
+    "net energy")
 
 
 # JSON's NaN and Infinity load as floats: a NaN p_dbm ran sumrate to nan sum
