@@ -7,7 +7,7 @@ import numpy as np
 
 from .geometry import (HALF_WAVE, MIN_DISTANCE_M, Radio, array_response,
                        planar, ula)
-from .scenario import Scenario, ScenarioError
+from .scenario import Scenario, computed_error
 
 
 @dataclass
@@ -195,10 +195,8 @@ def realize_channels(scenario: Scenario, rng):
     for name, p in (("bs_position", b), ("hris_position", r)):
         gap = ue - p  # the distance pathloss would reject, by the same bits
         if np.any(np.sqrt(np.vecdot(gap, gap)) < MIN_DISTANCE_M):
-            raise ScenarioError(
-                f"a UE drawn in the box of area_min {scenario.area_min}, "
-                f"area_max {scenario.area_max} and ue_height_m "
-                f"{scenario.ue_height_m} lies on the array at {name}")
+            raise computed_error(f"a drawn UE lies on the array at {name}",
+                                 ("area_min", "area_max", "ue_height_m", name))
 
     los_bs_ue = _los_flags(draws[0], b, ue, field)
     los_hris_ue = _los_flags(draws[1], r, ue, field)

@@ -27,7 +27,7 @@ from .geometry import HALF_WAVE, Radio, planar
 from .hris import (HrisConfig, build_codebook, compose_reflection,
                    idle_config, incident_from_bs, incident_from_ues,
                    oracle_config, probe, quantize, sensed_power)
-from .scenario import Scenario, ScenarioError, probe_scheme_bits
+from .scenario import Scenario, ScenarioError, computed_error, probe_scheme_bits
 
 log = logging.getLogger(__name__)
 
@@ -41,8 +41,8 @@ _BLOCK_ENTRIES = 2 ** 17
 _CHUNK_ROWS = 4096
 
 # the fields behind a drop's link budget, named when it goes non-finite
-_LINK_BUDGET = ("p_dbm, noise_dbm, fc_ghz, gamma0, d0_m, chi_los, chi_nlos, "
-                "bs_position, hris_position, area_min, area_max and ue_height_m")
+_LINK_BUDGET = ("p_dbm noise_dbm fc_ghz gamma0 d0_m chi_los chi_nlos bs_position "
+                "hris_position area_min area_max ue_height_m").split()
 
 _section = partial(np.empty, 0)  # a report section with no rows
 
@@ -199,9 +199,8 @@ def _map_drops(drop_fn, points, workers: int):
 
 
 def _sumrate_drop(sc: Scenario, codebooks, channels):
-    """One drop's sum rate per scheme and direct fractions, scheme-major. A
-    sum rate that is not finite raises a ScenarioError naming the fields
-    behind it."""
+    """One drop's sum rate per scheme and direct fractions, scheme-major; a
+    sum rate that is not finite raises a computed_error."""
     budgets = []
     for scheme in sc.schemes:
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
@@ -209,10 +208,8 @@ def _sumrate_drop(sc: Scenario, codebooks, channels):
         w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
         budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
         if not np.isfinite(budget.sum_rate):
-            raise ScenarioError(
-                f"the sum rate of {scheme} at k_users {sc.k_users} is not "
-                f"finite ({budget.sum_rate}): it follows from the link "
-                f"budget of {_LINK_BUDGET}")
+            raise computed_error(f"sum rate of {scheme} at k_users "
+                                 f"{sc.k_users}", _LINK_BUDGET, budget.sum_rate)
         budgets.append(budget)
     return ([b.sum_rate for b in budgets],
             np.concatenate([b.direct_power_fraction for b in budgets]))
@@ -281,17 +278,15 @@ def _energy_drop(sc: Scenario, context, channels):
     the slot-weighted harvest (W, before the traffic factor) and the total
     active-diode count of the held reflection + absorption configs, so
     traffic and per-diode power variations rescale without re-simulation.
-    A sensed power that is not finite raises a ScenarioError naming the
-    fields behind it.
+    A sensed power that is not finite raises a computed_error.
     """
     probing, harvester = context
     bs, v_u, phi_u, theta = _probe_phase(sc, probing, channels)
     p_u = sensed_power(quantize(phi_u, sc.q_bits), v_u, sc.eta, sc.noise_watts)
     if not np.isfinite([bs.power, p_u]).all():
-        raise ScenarioError(
-            f"the sensed power of the {sc.n_hris_elements}-element {sc.q_bits}"
-            f"-bit surface is not finite (BS {bs.power} W, UEs {p_u} W): it "
-            f"follows from the link budget of {_LINK_BUDGET}")
+        raise computed_error(
+            f"sensed power of the {sc.n_hris_elements}-element {sc.q_bits}-bit "
+            "surface", _LINK_BUDGET, f"BS {bs.power} W, UEs {p_u} W")
     return (slot_harvest(harvester, sc.n_dl_slots, sc.n_ul_slots, bs.power,
                          p_u), diode_count(theta) + bs.diodes)
 
@@ -360,17 +355,16 @@ def step_dist(mean_power_w: float, std_power_w: float, step_s: float,
     the mean and the spread scale linearly with the step length. The spread
     is floored at a tiny fraction of the step size to keep the distribution
     well defined when the drop-to-drop variation vanishes. A mean or spread
-    that is not finite raises a ScenarioError naming the fields behind it.
+    that is not finite raises a computed_error.
     """
     with np.errstate(over="ignore"):
         mean = mean_power_w * step_s
         sigma = max(std_power_w * step_s, 1e-9 * delta_j)
     if not np.isfinite([mean, sigma]).all():
-        raise ScenarioError(
-            f"the net energy per step is not finite (mean {mean} J, spread "
-            f"{sigma} J): it is mc_step_s {step_s} times the net power of "
-            "harvester_a_w, harvester_b_w, harvester_c_w, p_on_mw, "
-            "p_on_sweep_mw, controller_run_mw and controller_idle_mw")
+        raise computed_error("net energy per step", (
+            "mc_step_s harvester_a_w harvester_b_w harvester_c_w p_on_mw "
+            "p_on_sweep_mw controller_run_mw controller_idle_mw").split(),
+            f"mean {mean} J, spread {sigma} J")
     return bat.NetEnergyDist.gaussian(mean, sigma)
 
 

@@ -31,6 +31,15 @@ class ScenarioError(ValueError):
     """Raised for malformed or inconsistent configuration input."""
 
 
+def computed_error(what: str, fields, values=None) -> ScenarioError:
+    """The error for a value a run computed, ``what`` naming it and where:
+    not finite at ``values``, or without them the fault ``what`` states.
+    It names the ``fields`` the value follows from."""
+    fault = what if values is None else f"the {what} is not finite ({values})"
+    *head, last = fields
+    return ScenarioError(f"{fault}: it follows from {', '.join(head)} and {last}")
+
+
 _KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string",
                bool: "true or false", type(None): "null"}
 
