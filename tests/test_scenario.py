@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,8 +272,9 @@ _RUN_TIME_FAULTS = {
 
 def _run_time_fault_test(guard):
     """A test that runs each case of ``guard`` through the CLI and expects
-    exit 2, a message holding its words and every edited field, and no
-    --out directory."""
+    exit 2, a message holding its words, in the one form of a computed
+    value's error with every edited field among the fields it follows
+    from, and no --out directory."""
     @pytest.mark.parametrize("experiment, edits, words", _RUN_TIME_FAULTS[guard])
     def test(tmp_path, capsys, experiment, edits, words):
         path = tmp_path / "bad.json"
@@ -282,6 +284,9 @@ def _run_time_fault_test(guard):
         assert rc == 2
         err = capsys.readouterr().err
         assert all(word in err for word in (*words, *edits))
+        form = re.fullmatch(r"configuration error: .+: it follows from (.+)\n",
+                            err)
+        assert form and set(edits) <= set(re.split(", | and ", form[1]))
         assert not (tmp_path / "out").exists()
     return test
 
