@@ -32,9 +32,9 @@ class ScenarioError(ValueError):
 
 
 def computed_error(what: str, fields, values=None) -> ScenarioError:
-    """The error for a value a run computed, ``what`` naming it and where:
-    not finite at ``values``, or without them the fault ``what`` states.
-    It names the ``fields`` the value follows from."""
+    """The configuration error for a value a run computed. ``what`` names
+    the value and where; with ``values`` the value is not finite, without
+    them ``what`` states the fault. ``fields`` are what it follows from."""
     fault = what if values is None else f"the {what} is not finite ({values})"
     *head, last = fields
     return ScenarioError(f"{fault}: it follows from {', '.join(head)} and {last}")
