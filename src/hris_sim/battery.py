@@ -277,9 +277,10 @@ def stationary_power_iteration(chain: BatteryChain, tol: float = 1e-13,
 
 
 def loss_of_charge(chain: BatteryChain) -> float:
-    """Stationary probability mass at or below the guard state."""
+    """Stationary probability mass at or below the guard state, at most 1:
+    the prefix sum of a normalized ``pi`` can round past it."""
     pi = chain.pi if chain.pi is not None else stationary(chain)
-    return float(pi[: chain.guard_state + 1].sum())
+    return min(float(pi[: chain.guard_state + 1].sum()), 1.0)
 
 
 def resolve_loss_of_charge(chain: BatteryChain) -> tuple[float, str]:

@@ -19,6 +19,7 @@ from hris_sim.battery import (BatteryChain, BatterySizing, NetEnergyDist,
                               resolve_loss_of_charge, simulate_trace,
                               size_battery, states_for_capacity, stationary,
                               stationary_power_iteration, trace_loss_of_charge)
+from hris_sim.scenario import MAX_BATTERY_STATES
 
 
 def two_point_dist(lo, hi, delta):
@@ -125,6 +126,12 @@ class TestLossOfCharge:
         chain = build_chain(NetEnergyDist.gaussian(0.5, 1.0), 10, 1.0, 0.0)
         chain.guard_state = 9
         assert np.isclose(loss_of_charge(chain), 1.0)
+
+    def test_ploc_of_the_largest_chain_is_at_most_one(self):
+        # the prefix sum of this chain's normalized pi rounds to 1 + 2**-52
+        chain = build_chain(NetEnergyDist.gaussian(0.05, 1.0),
+                            MAX_BATTERY_STATES, 1.0, 0.1)
+        assert resolve_loss_of_charge(chain) == (1.0, "ok")
 
     def test_monotone_decreasing_in_capacity(self):
         # growing capacity sweep in the charging-feasible regime
