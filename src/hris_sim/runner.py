@@ -98,7 +98,7 @@ def _summary(drops: np.ndarray, keys, **stats) -> np.ndarray:
                      for name, (col, fn) in stats.items()})
 
 
-def _rng(scenario: Scenario, *tags) -> np.random.Generator:
+def _rng(scenario: Scenario, *tags) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence([scenario.seed, *tags]))
 
 
@@ -177,8 +177,7 @@ def _block(task):
     """Realize one block of a point's drops and apply the drop function to
     each drop's channels."""
     drop_fn, sc, context, tags, drops = task
-    # no floating-point warnings: a drop that goes non-finite is reported by
-    # the check of its experiment (the sum rate, step_dist) naming the fields
+    # no floating-point warnings: a computed_error names a drop gone non-finite
     with np.errstate(all="ignore"):
         block = realize_channels(sc, [_rng(sc, *tags, d) for d in drops])
         return [drop_fn(sc, context, channels) for channels in block]

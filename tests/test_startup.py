@@ -1,4 +1,5 @@
-"""Importing the package loads no scipy module, and no process pool."""
+"""Importing the package loads no scipy module, no process pool and no
+random generator."""
 
 import os
 import subprocess
@@ -13,12 +14,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _loaded_by_import(package):
-    """Modules of ``package`` that importing hris_sim and its CLI loads."""
+    """Modules of ``package`` and its subpackages that importing hris_sim
+    and its CLI loads."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     code = ("import sys, hris_sim, hris_sim.cli\n"
-            f"print(*[m for m in sys.modules if m.split('.')[0] == {package!r}])")
+            f"print(*[m for m in sys.modules if (m + '.').startswith("
+            f"{package!r} + '.')])")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -32,6 +35,11 @@ def test_import_loads_no_scipy_module():
 def test_import_loads_no_multiprocessing_module():
     # a run loads the process pool only when it maps drops in workers
     assert _loaded_by_import("multiprocessing") == []
+
+
+def test_import_loads_no_numpy_random():
+    # the battery sizing never draws; a run loads it for its first generator
+    assert _loaded_by_import("numpy.random") == []
 
 
 def test_speed_of_light_equals_scipy_constant():
