@@ -58,13 +58,11 @@ def atom_consumption(m: int, model: ConsumptionModel) -> float:
     """Power drawn by one meta-atom holding phase-grid index ``m``.
 
     Index m maps to the PIN-diode activation pattern given by its binary
-    representation; the draw is p_on per active diode, written as
-    p_on * (m - sum_i floor(m / 2^i)).
+    representation; the draw is p_on per active diode, its popcount.
     """
     if not 0 <= m < 2 ** model.q_bits:
         raise ValueError(f"index {m} outside [0, 2^{model.q_bits})")
-    active = m - sum(m // 2 ** i for i in range(1, model.q_bits + 1))
-    return model.p_on * active
+    return model.p_on * int(np.bitwise_count(m))
 
 
 def diode_count(config: HrisConfig) -> int:
