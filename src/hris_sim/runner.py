@@ -98,6 +98,7 @@ def _summary(drops: np.ndarray, keys, **stats) -> np.ndarray:
                      for name, (col, fn) in stats.items()})
 
 
+# quoted, so that numpy.random loads at a run's first draw, not at import
 def _rng(scenario: Scenario, *tags) -> "np.random.Generator":
     return np.random.default_rng(np.random.SeedSequence([scenario.seed, *tags]))
 
