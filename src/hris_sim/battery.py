@@ -208,22 +208,16 @@ def _assemble_chain(f_grid, n_states: int, delta: float,
     return BatteryChain(s, delta, psi, guard_state(s, gamma))
 
 
-def _reaches_all(adj: np.ndarray) -> bool:
-    """Whether state 0 reaches every state along the edges of adj."""
-    seen = frontier = np.arange(len(adj)) == 0
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen = seen | frontier
-    return bool(seen.all())
-
-
 def _closed_classes(psi: np.ndarray):
-    """Communicating-class count and the closed classes, by smallest state."""
+    """Communicating-class count and the closed classes, by smallest state.
+
+    A chain where every state steps up one and down one is irreducible; the
+    rest, such as a saturated drift's, take a Warshall closure."""
     s = len(psi)
+    if (np.diagonal(psi, 1) > 0).all() and (np.diagonal(psi, -1) > 0).all():
+        return 1, [list(range(s))]
     reach = psi > 0
     reach.flat[::s + 1] = True
-    if _reaches_all(reach) and _reaches_all(reach.T):
-        return 1, [list(range(s))]
     for k in range(s):  # Warshall closure
         reach |= reach[:, k, None] & reach[k]
     labels = np.argmax(reach & reach.T, axis=1)  # smallest state of the class

@@ -37,7 +37,7 @@ _EXP_SUMRATE, _EXP_ENERGY, _EXP_BATTERY = 1, 2, 3
 # complex entries of the stacked channels of one block of drops
 _BLOCK_ENTRIES = 2 ** 17
 
-# rows of a report section filled or written to CSV at a time
+# rows of a report section written to CSV at a time
 _CHUNK_ROWS = 4096
 
 # the fields behind a drop's link budget, named when it goes non-finite
@@ -200,12 +200,18 @@ def _map_drops(drop_fn, points, workers: int):
 
 def _sumrate_drop(sc: Scenario, codebooks, channels):
     """One drop's sum rate per scheme and direct fractions, scheme-major; a
-    sum rate that is not finite raises a computed_error."""
+    singular RZF Gram matrix or a sum rate that is not finite raises a
+    computed_error."""
     budgets = []
     for scheme in sc.schemes:
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
         h_eff = effective_channels(channels, theta, sc.eta)
-        w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
+        try:
+            w = rzf_precoder(h_eff, sc.p_watts, sc.noise_watts)
+        except np.linalg.LinAlgError:  # K < M: rank K, and mu rounded away
+            raise computed_error(
+                f"the RZF Gram matrix of {scheme} at k_users {sc.k_users} is "
+                "singular", (*_LINK_BUDGET, "k_sweep", "m_bs_antennas")) from None
         budget = evaluate(h_eff, channels.h_d, w, sc.noise_watts)
         if not np.isfinite(budget.sum_rate):
             raise computed_error(f"sum rate of {scheme} at k_users "
@@ -219,22 +225,18 @@ def _per_ue(drops: np.ndarray, fractions) -> np.ndarray:
     """The direct_fraction section: one row per user of each ``drops`` row,
     in user order, with that row's scheme, k_users, seed and drop, the user
     index and its entry of the concatenated ``fractions``. The section is
-    allocated once and filled ``_CHUNK_ROWS`` rows at a time, so no column
-    is ever held twice in full."""
+    allocated once and filled one ``drops`` row at a time, so no column is
+    ever held twice in full."""
     keys = ("scheme", "k_users", "seed", "drop")
-    n_ues = drops["k_users"]
-    ends = np.cumsum(n_ues)
-    firsts = ends - n_ues
-    direct = np.empty(n_ues.sum(), [*((k, drops.dtype[k]) for k in keys),
-                                    ("ue", int), ("direct_power_fraction", float)])
+    direct = np.empty(drops["k_users"].sum(), [
+        *((k, drops.dtype[k]) for k in keys), ("ue", int),
+        ("direct_power_fraction", float)])
     np.concatenate(fractions, out=direct["direct_power_fraction"])
-    for start in range(0, len(direct), _CHUNK_ROWS):
-        chunk = direct[start:start + _CHUNK_ROWS]
-        rows = np.arange(start, start + len(chunk))
-        owner = np.searchsorted(ends, rows, side="right")
-        for k in keys:
-            chunk[k] = drops[k][owner]
-        chunk["ue"] = rows - firsts[owner]
+    for row, rows in zip(drops[list(keys)].tolist(),
+                         np.split(direct, np.cumsum(drops["k_users"])[:-1])):
+        for key, value in zip(keys, row):
+            rows[key] = value
+        rows["ue"] = np.arange(len(rows))
     return direct
 
 

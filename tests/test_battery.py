@@ -793,6 +793,26 @@ class TestAgainstScipyReference:
         dist = NetEnergyDist.gaussian(sign * sigmas * std, std)
         assert_closed_classes_match_reference(build_chain(dist, s, delta, 0.1).psi)
 
+    # a chain that steps up one and down one from every state is irreducible
+    # at once; the rest take the Warshall closure: steps of +2 and -3 only,
+    # a saturated drift, whose off-drift steps underflow, and an absorbing end
+    @pytest.mark.parametrize("psi, n_comp, stepwise", [
+        pytest.param(build_chain(NetEnergyDist.gaussian(0.5, 2.0), 40, 1.0,
+                                 0.1).psi, 1, True, id="gaussian"),
+        pytest.param(build_chain(two_point_dist(-2.5, 2.5, 1.0), 40, 1.0,
+                                 0.1).psi, 1, False, id="steps-plus2-minus3"),
+        pytest.param(build_chain(NetEnergyDist.gaussian(60.0, 1.0), 40, 1.0,
+                                 0.1).psi, 40, False, id="saturated-charge"),
+        pytest.param(np.ones((1, 1)), 1, True, id="one-state"),
+        pytest.param(np.full((2, 2), 0.5), 1, True, id="two-states"),
+        pytest.param(np.array([[0.5, 0.5], [0.0, 1.0]]), 2, False,
+                     id="two-states-absorbing")])
+    def test_closed_classes_of_each_path(self, psi, n_comp, stepwise):
+        assert ((np.diagonal(psi, 1) > 0).all()
+                and (np.diagonal(psi, -1) > 0).all()) == stepwise
+        assert _closed_classes(psi)[0] == n_comp
+        assert_closed_classes_match_reference(psi)
+
     @settings(deadline=None, max_examples=300)
     @given(st.sampled_from((-1.0, 1.0)), st.floats(-6.0, 3.0), st.floats(-9.0, 3.0),
            arrays(np.float64, st.integers(0, 40), elements=st.floats(-40.0, 40.0)),

@@ -291,11 +291,11 @@ def test_sumrate_report_is_built_and_written_within_its_memory_budget(
         tmp_path, monkeypatch):
     # coverage.json at 50 drops: a 4.4 MB report, 4.3 MB of it the
     # 43,200-row direct_fraction section. Building the report from the drop
-    # map's results peaks 1.09x the report above what the map left held with
-    # the section filled in chunks, and 1.98x with its drops-level columns
-    # repeated in full first. Emission, traced with the report already held,
-    # peaks at 0.17x the section converted 4,096 rows at a time and 1.26x
-    # converted at once.
+    # map's results peaks 1.07x the report above what the map left held with
+    # the section filled one drops row at a time, and 1.98x with its
+    # drops-level columns repeated in full first. Emission, traced with the
+    # report already held, peaks at 0.17x the section converted 4,096 rows
+    # at a time and 1.26x converted at once.
     sc = replace(load_scenario(default_scenario_path().with_name(
         "coverage.json")), n_drops=50)
     map_drops, after_map = runner._map_drops, []
@@ -644,15 +644,12 @@ def _assert_bitwise_equal(got, want):
 @given(st.lists(st.tuples(
     st.sampled_from(["idle", "probe-q2", "oracle-equal-gain"]),
     st.integers(1, 2100), st.integers(0, 2 ** 40), st.integers(0, 99)),
-    min_size=1, max_size=6), _CHUNK_SIZES, st.integers(0, 2 ** 32 - 1))
-def test_per_ue_fill_equals_the_repeated_columns(rows, chunk, seed):
-    # with up to 2,100 users per row, sections of up to 12,600 rows straddle
-    # the 4,096-row chunk, and chunks of 1 to 7 rows cross many boundaries
+    min_size=1, max_size=6), st.integers(0, 2 ** 32 - 1))
+def test_per_ue_fill_equals_the_repeated_columns(rows, seed):
+    # rows of 1 to 2,100 users, so sections of up to 12,600 rows
     rng = np.random.default_rng(seed)
     drops = _table(scheme=[r[0] for r in rows], k_users=[r[1] for r in rows],
                    seed=[r[2] for r in rows], drop=[r[3] for r in rows],
                    sum_rate_bps_hz=rng.standard_normal(len(rows)))
     fracs = [rng.random(k) for k in drops["k_users"]]
-    with mock.patch.object(runner, "_CHUNK_ROWS", chunk):
-        _assert_bitwise_equal(_per_ue(drops, fracs),
-                              _repeated_per_ue(drops, fracs))
+    _assert_bitwise_equal(_per_ue(drops, fracs), _repeated_per_ue(drops, fracs))

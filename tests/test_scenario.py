@@ -267,7 +267,16 @@ _RUN_TIME_FAULTS = {
     "net energy": [
         pytest.param(experiment, {"harvester_a_w": 1e308},
                      ("net energy per step is not finite", "mc_step_s"),
-                     id=experiment) for experiment in ("energy", "battery")]}
+                     id=experiment) for experiment in ("energy", "battery")],
+    # K < M users give the M x M Gram rank K, and at a high SNR its
+    # regularizer mu = K noise / P rounds away on the diagonal
+    "RZF Gram": [
+        pytest.param("sumrate", {"k_sweep": [k], name: value},
+                     ("RZF Gram matrix", "is singular", "m_bs_antennas"),
+                     id=f"k{k}-{name}-{value}")
+        for k, name, value in [(2, "noise_dbm", -200.0), (2, "p_dbm", 300.0),
+                               (2, "d0_m", 1000.0), (2, "gamma0", 1e6),
+                               (1, "noise_dbm", -200.0)]]}
 
 
 def _run_time_fault_test(guard):
@@ -297,6 +306,7 @@ test_non_finite_sensed_power_is_a_config_error = _run_time_fault_test(
 test_ue_box_on_an_array_is_a_config_error = _run_time_fault_test("UE box")
 test_cli_overflowing_net_energy_is_a_config_error = _run_time_fault_test(
     "net energy")
+test_singular_rzf_gram_is_a_config_error = _run_time_fault_test("RZF Gram")
 
 
 # JSON's NaN and Infinity load as floats: a NaN p_dbm ran sumrate to nan sum
