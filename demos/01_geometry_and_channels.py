@@ -43,7 +43,7 @@ for d in (5.0, 15.0, 30.0, 45.0):
     sampled = simulate_blockage(tx, rx, field, rng, trials=20000).mean()
     print(f"{d:12.0f} m   {analytic:18.3f}   {sampled:12.3f}")
 
-channels = realize_channels(sc, np.random.default_rng(1))
+channels = realize_channels(sc, [np.random.default_rng(1)])[0]
 sv = np.linalg.svd(channels.G, compute_uv=False)
 print(f"\none drop with K={sc.k_users}: G is {channels.G.shape} with singular "
       f"values {sv[0]:.3f} / {sv[1]:.2e} (rank one)")

@@ -19,7 +19,7 @@ codebook = build_codebook(hris, radio, sc.codebook_size, sc.q_bits)
 print(f"codebook: {len(codebook)} codewords, {sc.q_bits}-bit phases, "
       f"grid {sc.nx} azimuths x {sc.nz} elevations")
 
-channels = realize_channels(sc, np.random.default_rng(7))
+channels = realize_channels(sc, [np.random.default_rng(7)])[0]
 
 # probing sub-slot 1: the BS sends a pilot beamformed at the surface
 v_bs = incident_from_bs(channels, sc.p_watts)

@@ -150,22 +150,20 @@ def _chi(model: PathlossModel, los):
     return np.where(los, model.chi_los, model.chi_nlos)
 
 
-def realize_channels(scenario: Scenario, rng):
+def realize_channels(scenario: Scenario, rngs):
     """Draw network snapshots: UE positions, per-link LoS states, channels.
 
-    ``rng`` is one generator, for one drop, giving a ChannelSet; or a list of
-    generators, one per drop of a block, giving a list of ChannelSets. Each
-    drop draws from its own generator, in order: UE x, UE y, the BS-UE LoS
-    draws, the HRIS-UE LoS draws, then the BS-HRIS LoS draw unless that link
-    is always LoS. The LoS probabilities, pathloss and array responses are
-    then computed once over the block's stacked UE points. Each link
-    resolves LoS vs NLoS independently (affecting only the pathloss
-    exponent); steering vectors are the pure LoS array responses. G is the
-    scaled outer product a_R(b) a_BS(r)^H, hence rank one; the drops of a
-    block share one G per LoS state of the BS-HRIS link.
+    ``rngs`` is a list of generators, one per drop of a block, and the result
+    is the list of their ChannelSets. Each drop draws from its own generator,
+    in order: UE x, UE y, the BS-UE LoS draws, the HRIS-UE LoS draws, then
+    the BS-HRIS LoS draw unless that link is always LoS. The LoS
+    probabilities, pathloss and array responses are then computed once over
+    the block's stacked UE points. Each link resolves LoS vs NLoS
+    independently (affecting only the pathloss exponent); steering vectors
+    are the pure LoS array responses. G is the scaled outer product
+    a_R(b) a_BS(r)^H, hence rank one; the drops of a block share one G per
+    LoS state of the BS-HRIS link.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
     radio = Radio(scenario.fc_hz)
     half_wave = radio.wavelength * HALF_WAVE
     bs = ula(scenario.bs_position, scenario.m_bs_antennas, half_wave)
@@ -215,8 +213,7 @@ def realize_channels(scenario: Scenario, rng):
     outer = np.outer(a_r_bs, array_response(bs, r, radio).conj())
     G = {los: np.sqrt(pathloss(b, r, model, _chi(model, los))) * outer
          for los in set(los_bs_hris)}
-    block = [ChannelSet(G=G[los], h=h[i], h_d=h_d[i], los_bs_hris=los,
-                        los_hris_ue=los_hris_ue[i], los_bs_ue=los_bs_ue[i],
-                        ue_positions=ue[i], a_r_bs=a_r_bs)
-             for i, los in enumerate(los_bs_hris)]
-    return block[0] if single else block
+    return [ChannelSet(G=G[los], h=h[i], h_d=h_d[i], los_bs_hris=los,
+                       los_hris_ue=los_hris_ue[i], los_bs_ue=los_bs_ue[i],
+                       ue_positions=ue[i], a_r_bs=a_r_bs)
+            for i, los in enumerate(los_bs_hris)]

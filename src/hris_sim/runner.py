@@ -263,10 +263,13 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     drops = _table(scheme=np.tile(scenario.schemes, at.size),
                    k_users=np.array(ks)[k_at], seed=scenario.seed, drop=drop,
                    sum_rate_bps_hz=np.concatenate(rates))
+    # the summary counts each realized drop of a scheme once, however often
+    # its K or the scheme repeats
+    first = np.unique(drops[["scheme", "k_users", "drop"]], return_index=True)[1]
     return RunReport(
         sumrate_drops=drops, direct_fraction=_per_ue(drops, fracs),
         sumrate_summary=_summary(
-            drops, ("scheme", "k_users", "seed"),
+            drops[np.sort(first)], ("scheme", "k_users", "seed"),
             mean_sum_rate_bps_hz=("sum_rate_bps_hz", np.mean),
             # normal-approximation 95% interval over the drops
             ci95_halfwidth=("sum_rate_bps_hz", lambda r: 1.96 * r.std(ddof=1)
@@ -473,8 +476,6 @@ def emit_csv(report: RunReport, out_dir) -> list:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(table.dtype.names)
             for start in range(0, len(table), _CHUNK_ROWS):
-                chunk = table[start:start + _CHUNK_ROWS]
-                writer.writerows(zip(*(chunk[c].tolist()
-                                       for c in table.dtype.names)))
+                writer.writerows(table[start:start + _CHUNK_ROWS].tolist())
         written.append(path)
     return written

@@ -41,7 +41,7 @@ def _scheme_means(scenario, k_users, schemes, n_drops):
     sums = {s: [] for s in schemes}
     for drop in range(n_drops):
         rng = _rng(sc, _EXP_SUMRATE, k_users, drop)
-        channels = realize_channels(sc, rng)
+        channels = realize_channels(sc, [rng])[0]
         for scheme in schemes:
             theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
             h_eff = effective_channels(channels, theta, sc.eta)
@@ -57,7 +57,7 @@ def test_criterion_1_closed_form_reflected_gain_optimality():
     wins, min_margin = 0, np.inf
     rng_cfg = np.random.default_rng(2024)
     for drop in range(100):
-        channels = realize_channels(sc, _rng(sc, _EXP_SUMRATE, 4, drop))
+        channels = realize_channels(sc, [_rng(sc, _EXP_SUMRATE, 4, drop)])[0]
         h_hat = np.conj(channels.h.sum(axis=0)) * channels.a_r_bs
         best = np.abs(np.vdot(oracle_config(channels, "weighted").phases, h_hat))
         random_configs = np.exp(1j * rng_cfg.uniform(0, 2 * np.pi,

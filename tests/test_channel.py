@@ -194,15 +194,15 @@ class TestLosProbability:
 class TestRealizeChannels:
     def test_all_los_norms(self):
         sc = Scenario(k_users=1, blocker_density_per_m2=0.0)
-        ch = realize_channels(sc, np.random.default_rng(0))
+        ch = realize_channels(sc, [np.random.default_rng(0)])[0]
         model = PathlossModel(sc.gamma0, sc.d0_m, sc.chi_los, sc.chi_nlos)
         gain = pathloss(ch.ue_positions[0], sc.hris_position, model, sc.chi_los)
         assert np.isclose(np.linalg.norm(ch.h[0]) ** 2, gain * sc.n_hris_elements)
 
     def test_fixed_seed_reproducible(self):
         sc = Scenario(k_users=5)
-        a = realize_channels(sc, np.random.default_rng(42))
-        b = realize_channels(sc, np.random.default_rng(42))
+        a = realize_channels(sc, [np.random.default_rng(42)])[0]
+        b = realize_channels(sc, [np.random.default_rng(42)])[0]
         assert np.array_equal(a.G, b.G)
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.h_d, b.h_d)
@@ -212,7 +212,7 @@ class TestRealizeChannels:
         sc = Scenario(k_users=2)
         model = PathlossModel(sc.gamma0, sc.d0_m, sc.chi_los, sc.chi_nlos)
         for seed in range(5):
-            ch = realize_channels(sc, np.random.default_rng(seed))
+            ch = realize_channels(sc, [np.random.default_rng(seed)])[0]
             s = np.linalg.svd(ch.G, compute_uv=False)
             gain = pathloss(sc.bs_position, sc.hris_position, model, sc.chi_los)
             assert np.isclose(s[0], np.sqrt(gain * sc.n_hris_elements * sc.m_bs_antennas))
@@ -225,8 +225,8 @@ class TestRealizeChannels:
                                    chi_los=4.0, chi_nlos=4.0)
         all_nlos = Scenario(k_users=4, blocker_density_per_m2=1e9,
                             chi_los=2.0, chi_nlos=4.0)
-        a = realize_channels(all_los_swapped, np.random.default_rng(7))
-        b = realize_channels(all_nlos, np.random.default_rng(7))
+        a = realize_channels(all_los_swapped, [np.random.default_rng(7)])[0]
+        b = realize_channels(all_nlos, [np.random.default_rng(7)])[0]
         assert np.array_equal(a.ue_positions, b.ue_positions)
         assert not b.los_hris_ue.any() and not b.los_bs_ue.any()
         assert np.allclose(a.h, b.h)
@@ -234,7 +234,7 @@ class TestRealizeChannels:
 
     def test_sampled_mode_runs(self):
         sc = Scenario(k_users=3, blockage_mode="sampled")
-        ch = realize_channels(sc, np.random.default_rng(3))
+        ch = realize_channels(sc, [np.random.default_rng(3)])[0]
         assert ch.h.shape == (3, sc.n_hris_elements)
 
 
@@ -331,9 +331,9 @@ def test_realize_channels_matches_scalar_reference(
         ref = ref_realize_channels(sc, np.random.default_rng(seed))
     except ValueError:  # a UE or the BS on top of an array
         with pytest.raises(ValueError):
-            realize_channels(sc, np.random.default_rng(seed))
+            realize_channels(sc, [np.random.default_rng(seed)])[0]
         return
-    got = realize_channels(sc, np.random.default_rng(seed))
+    got = realize_channels(sc, [np.random.default_rng(seed)])[0]
     assert type(got.los_bs_hris) is bool
     for name in ("G", "h", "h_d", "los_bs_hris", "los_hris_ue", "los_bs_ue",
                  "ue_positions", "a_r_bs"):

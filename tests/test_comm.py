@@ -18,7 +18,7 @@ from hris_sim.scenario import Scenario
 
 def random_channels(k_users=3, seed=0):
     sc = Scenario(k_users=k_users)
-    return sc, realize_channels(sc, np.random.default_rng(seed))
+    return sc, realize_channels(sc, [np.random.default_rng(seed)])[0]
 
 
 def reference_effective_channels(channels, theta, eta):
@@ -318,7 +318,7 @@ class TestEvaluate:
         sums = {"oracle": [], "idle": []}
         sc = Scenario(k_users=2)
         for seed in range(120):
-            ch = realize_channels(sc, np.random.default_rng(seed))
+            ch = realize_channels(sc, [np.random.default_rng(seed)])[0]
             for name in sums:
                 theta = oracle_config(ch, "weighted") if name == "oracle" \
                     else idle_config(sc.n_hris_elements)

@@ -183,7 +183,7 @@ def test_configs_and_codebooks_compare_by_identity():
 
 @pytest.mark.parametrize("make", [
     lambda: BatteryChain(2, 1.0, np.eye(2), 0),
-    lambda: realize_channels(Scenario(k_users=2), np.random.default_rng(0)),
+    lambda: realize_channels(Scenario(k_users=2), [np.random.default_rng(0)])[0],
     lambda: LinkBudget(np.ones(2), 2.0, np.zeros(2)),
     lambda: planar((0.0, 0.0, 6.0), 2, 2, 0.005),
     lambda: PowerProfile(np.ones(3), 0.5),
@@ -399,7 +399,7 @@ class TestComposeAndOracle:
         # composing the two closed-form absorption configs reproduces the
         # direct reflection formula from the channel quantities
         sc = Scenario(k_users=6)
-        ch = realize_channels(sc, np.random.default_rng(21))
+        ch = realize_channels(sc, [np.random.default_rng(21)])[0]
         h_sum = ch.h.sum(axis=0)
         phi_b = cfg(np.exp(1j * np.angle(ch.a_r_bs)))
         phi_u = cfg(np.exp(1j * np.angle(h_sum)))
@@ -409,20 +409,20 @@ class TestComposeAndOracle:
         assert np.allclose(oracle_config(ch, "weighted").phases, direct)
 
     def test_oracle_rejects_an_unknown_mode(self):
-        ch = realize_channels(Scenario(k_users=2), np.random.default_rng(25))
+        ch = realize_channels(Scenario(k_users=2), [np.random.default_rng(25)])[0]
         with pytest.raises(ValueError, match="unknown aggregation mode 'sum'"):
             oracle_config(ch, "sum")
 
     def test_oracle_modes_identical_for_single_user(self):
         sc = Scenario(k_users=1)
-        ch = realize_channels(sc, np.random.default_rng(22))
+        ch = realize_channels(sc, [np.random.default_rng(22)])[0]
         assert np.allclose(oracle_config(ch, "equal").phases,
                            oracle_config(ch, "weighted").phases)
 
     def test_oracle_modes_differ_and_weighted_tracks_strong_user(self):
         sc = Scenario(k_users=2)
         rng = np.random.default_rng(23)
-        ch = realize_channels(sc, rng)
+        ch = realize_channels(sc, [rng])[0]
         ch.h[0] *= 30.0  # make user 0 by far the stronger reflected link
         eq = oracle_config(ch, "equal").phases
         wt = oracle_config(ch, "weighted").phases
@@ -435,7 +435,7 @@ class TestComposeAndOracle:
     def test_reflected_gain_closed_form_beats_random(self):
         sc = Scenario(k_users=4)
         rng = np.random.default_rng(24)
-        ch = realize_channels(sc, rng)
+        ch = realize_channels(sc, [rng])[0]
         h_hat = np.conj(ch.h.sum(axis=0)) * ch.a_r_bs
         best = np.abs(np.vdot(oracle_config(ch, "weighted").phases, h_hat))
         random_configs = np.exp(1j * rng.uniform(0, 2 * np.pi, (2000, 32)))
@@ -446,7 +446,7 @@ class TestComposeAndOracle:
         sc = Scenario(k_users=4)
         gains = {1: [], 2: []}
         for seed in range(120):
-            ch = realize_channels(sc, np.random.default_rng(seed))
+            ch = realize_channels(sc, [np.random.default_rng(seed)])[0]
             h_hat = np.conj(ch.h.sum(axis=0)) * ch.a_r_bs
             theta = oracle_config(ch, "weighted")
             for q in (1, 2):

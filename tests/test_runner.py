@@ -61,6 +61,18 @@ def test_schemes_share_channel_drops():
         assert len(rates) == 3
 
 
+@pytest.mark.parametrize("name, once, twice", [
+    ("k_sweep", (4,), (4, 4)), ("schemes", ("idle",), ("idle", "idle"))])
+def test_a_repeated_k_or_scheme_leaves_the_summary_as_it_is(name, once, twice):
+    # the drops section keeps a row per repeat, but the summary counts each
+    # realized drop once
+    sc = replace(SMALL, n_drops=4, k_sweep=(4,), schemes=("idle", "probe-q1"))
+    single = run_sumrate_experiment(replace(sc, **{name: once}))
+    repeated = run_sumrate_experiment(replace(sc, **{name: twice}))
+    assert len(repeated.sumrate_drops) == 2 * len(single.sumrate_drops)
+    _assert_bitwise_equal(repeated.sumrate_summary, single.sumrate_summary)
+
+
 def test_energy_report_monotone_in_n_and_q():
     report = run_energy_experiment(SMALL)
     for q in (1, 2):
@@ -104,7 +116,7 @@ def ref_energy_drop(sc, codebook, drop):
     """One drop's slot-weighted harvest and diode count, probing both links
     on their own: the per-drop code that the blocked statistics replaced."""
     rng = _rng(sc, _EXP_ENERGY, sc.n_hris_elements, sc.q_bits, drop)
-    channels = realize_channels(sc, rng)
+    channels = realize_channels(sc, [rng])[0]
     v_b = incident_from_bs(channels, sc.p_watts)
     v_u = incident_from_ues(channels, sc.p_watts)
     phi_b, phi_u = [probe(codebook, v, sc.eta, sc.noise_watts,
@@ -153,7 +165,7 @@ def test_blocked_energy_stats_equal_the_per_drop_reference(
 def ref_sumrate_drop(sc, drop):
     """One drop's sum rates and direct fractions per scheme, each probe
     scheme on fresh codebooks, so both links are probed in every drop."""
-    channels = realize_channels(sc, _rng(sc, _EXP_SUMRATE, sc.k_users, drop))
+    channels = realize_channels(sc, [_rng(sc, _EXP_SUMRATE, sc.k_users, drop)])[0]
     codebooks = _probe_codebooks(sc)
     rates, fracs = [], []
     for scheme in sc.schemes:
