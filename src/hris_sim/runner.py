@@ -107,7 +107,7 @@ def _reflection_for_scheme(scenario: Scenario, channels, scheme: str, codebooks)
     """Reflection configuration a scheme would apply for this snapshot;
     ``codebooks`` is the probing per bit depth of :func:`_probe_codebooks`."""
     if scheme == "idle":
-        return idle_config(channels.G.shape[0])
+        return idle_config(scenario.n_hris_elements)
     if scheme == "oracle-equal-gain":
         return oracle_config(channels, "equal")
     if scheme == "oracle-weighted":
@@ -199,11 +199,11 @@ def _map_drops(drop_fn, points, workers: int):
 
 
 def _sumrate_drop(sc: Scenario, codebooks, channels):
-    """One drop's sum rate per scheme and direct fractions, scheme-major; a
-    singular RZF Gram matrix or a sum rate that is not finite raises a
-    computed_error."""
-    budgets = []
-    for scheme in sc.schemes:
+    """One drop's sum rate and direct fractions per listed scheme, from one
+    evaluation per distinct scheme; a singular RZF Gram matrix or a sum rate
+    that is not finite raises a computed_error."""
+    budgets = {}
+    for scheme in dict.fromkeys(sc.schemes):
         theta = _reflection_for_scheme(sc, channels, scheme, codebooks)
         h_eff = effective_channels(channels, theta, sc.eta)
         try:
@@ -216,9 +216,9 @@ def _sumrate_drop(sc: Scenario, codebooks, channels):
         if not np.isfinite(budget.sum_rate):
             raise computed_error(f"sum rate of {scheme} at k_users "
                                  f"{sc.k_users}", _LINK_BUDGET, budget.sum_rate)
-        budgets.append(budget)
-    return ([b.sum_rate for b in budgets],
-            np.concatenate([b.direct_power_fraction for b in budgets]))
+        budgets[scheme] = budget
+    return ([budgets[s].sum_rate for s in sc.schemes], np.concatenate(
+        [budgets[s].direct_power_fraction for s in sc.schemes]))
 
 
 def _per_ue(drops: np.ndarray, fractions) -> np.ndarray:
@@ -250,8 +250,8 @@ def run_sumrate_experiment(scenario: Scenario, workers: int = 1) -> RunReport:
     ks = sorted(set(scenario.k_sweep))
     points = [(replace(scenario, k_users=k), codebooks, (_EXP_SUMRATE, k))
               for k in ks]
-    log.info("sum-rate experiment: %d drops x %d K values",
-             scenario.n_drops, len(scenario.k_sweep))
+    log.info("sum-rate experiment: %d drops x %d distinct K x %d distinct "
+             "schemes", scenario.n_drops, len(ks), len(set(scenario.schemes)))
     if not (ks and scenario.schemes):  # an empty sweep gives no rows
         return RunReport()
     results = _map_drops(_sumrate_drop, points, workers)

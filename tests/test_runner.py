@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 from concurrent import futures
 from dataclasses import fields, replace
@@ -63,13 +64,38 @@ def test_schemes_share_channel_drops():
 
 @pytest.mark.parametrize("name, once, twice", [
     ("k_sweep", (4,), (4, 4)), ("schemes", ("idle",), ("idle", "idle"))])
-def test_a_repeated_k_or_scheme_leaves_the_summary_as_it_is(name, once, twice):
-    # the drops section keeps a row per repeat, but the summary counts each
+def test_a_repeated_k_or_scheme_leaves_the_summary_as_it_is(
+        name, once, twice, monkeypatch, caplog):
+    # a repeated entry is evaluated once per drop and its rows copied: the
+    # drops section keeps a row per repeat, but the summary counts each
     # realized drop once
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rzf_precoder(*args)
+
+    monkeypatch.setattr(runner, "rzf_precoder", counted)
     sc = replace(SMALL, n_drops=4, k_sweep=(4,), schemes=("idle", "probe-q1"))
-    single = run_sumrate_experiment(replace(sc, **{name: once}))
-    repeated = run_sumrate_experiment(replace(sc, **{name: twice}))
+
+    def run(entries):  # the report, its RZF solves and its log lines
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="hris_sim.runner"):
+            report = run_sumrate_experiment(replace(sc, **{name: entries}))
+        return report, len(calls), caplog.messages
+
+    single, single_calls, single_log = run(once)
+    repeated, repeated_calls, repeated_log = run(twice)
+    assert repeated_calls == single_calls
+    assert repeated_log == single_log
+    assert "4 drops x 1 distinct K" in single_log[0]
     assert len(repeated.sumrate_drops) == 2 * len(single.sumrate_drops)
+    rates = single.sumrate_drops["sum_rate_bps_hz"]
+    assert np.array_equal(
+        repeated.sumrate_drops["sum_rate_bps_hz"].view(np.int64),
+        np.repeat(rates.reshape(sc.n_drops, -1), 2, axis=0).ravel().view(
+            np.int64))
     _assert_bitwise_equal(repeated.sumrate_summary, single.sumrate_summary)
 
 
