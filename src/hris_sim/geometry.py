@@ -28,55 +28,45 @@ class Radio:
 
 @dataclass(eq=False)
 class ArrayGeometry:
-    """Element layout of one antenna array.
+    """Planar nx-by-nz array in the x-z plane, ``spacing`` apart on both axes.
 
     ``element_offsets`` holds per-element positions relative to ``center``,
-    shape (n, 3); the mean offset must be the zero vector.
+    shape (nx*nz, 3), row-major with x fastest and symmetric about ``center``.
     """
 
     center: np.ndarray
-    element_offsets: np.ndarray
-    nx: int = 1
-    nz: int = 1
-    spacing: float = 0.0
+    nx: int
+    nz: int
+    spacing: float
+    element_offsets: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        self.element_offsets = np.asarray(self.element_offsets, dtype=float)
-        if self.center.shape != (3,) or self.element_offsets.ndim != 2 \
-                or self.element_offsets.shape[1] != 3:
-            raise ValueError("center must be a 3-vector and offsets (n, 3)")
+        if self.center.shape != (3,):
+            raise ValueError("center must be a 3-vector")
+        if self.nx < 1 or self.nz < 1:
+            raise ValueError("need at least one element per axis")
+        ix = np.arange(self.nx) - (self.nx - 1) / 2.0
+        iz = np.arange(self.nz) - (self.nz - 1) / 2.0
+        xx, zz = np.meshgrid(ix, iz)  # raveling gives x varying fastest
+        self.element_offsets = np.zeros((self.n_elements, 3))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            self.element_offsets[:, 0] = xx.ravel() * self.spacing
+            self.element_offsets[:, 2] = zz.ravel() * self.spacing
         if not np.isfinite(self.element_offsets).all():
             raise ValueError("element offsets must be finite")
-        # within 1e-12 m, or 1e-12 of the extent where the mean's rounding is
-        # larger; offsets scaled to at most 1 so that their sum cannot overflow
-        scale = np.abs(self.element_offsets).max(initial=1.0)
-        if np.abs((self.element_offsets / scale).mean(axis=0)).max() > 1e-12:
-            raise ValueError("element offsets must be symmetric about the center")
-        if self.n_elements != self.nx * self.nz:
-            raise ValueError("array requires nx*nz elements")
 
     @property
     def n_elements(self) -> int:
-        return self.element_offsets.shape[0]
+        return self.nx * self.nz
 
 
 def ula(center, n_elements: int, spacing: float) -> ArrayGeometry:
     """Uniform linear array along x, centered on ``center``: one planar row."""
-    return planar(center, n_elements, 1, spacing)
+    return ArrayGeometry(center, n_elements, 1, spacing)
 
 
-def planar(center, nx: int, nz: int, spacing: float) -> ArrayGeometry:
-    """Planar nx-by-nz array in the x-z plane, row-major with x fastest."""
-    if nx < 1 or nz < 1:
-        raise ValueError("need at least one element per axis")
-    ix = np.arange(nx) - (nx - 1) / 2.0
-    iz = np.arange(nz) - (nz - 1) / 2.0
-    xx, zz = np.meshgrid(ix, iz)  # raveling gives x varying fastest
-    offsets = np.zeros((nx * nz, 3))
-    offsets[:, 0] = xx.ravel() * spacing
-    offsets[:, 2] = zz.ravel() * spacing
-    return ArrayGeometry(center, offsets, nx=nx, nz=nz, spacing=spacing)
+planar = ArrayGeometry  # planar(center, nx, nz, spacing) builds the grid
 
 
 def wave_vector(p, q, wavelength: float) -> np.ndarray:

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .battery import mah_to_joules
-from .geometry import C0, MIN_DISTANCE_M
+from .geometry import C0, HALF_WAVE, MIN_DISTANCE_M, ula
 
 log = logging.getLogger(__name__)
 
@@ -188,6 +188,15 @@ class Scenario:
                 "probe_threshold_w must be null or >= the power of noise_dbm")
         require(all(n % self.nx == 0 for n in self.n_sweep),
                 f"n_sweep {self.n_sweep} entries must be multiples of nx={self.nx}")
+        # the run's longest array axis, at the spacing runner and channel use
+        longest = max(self.nx, self.nz, self.m_bs_antennas,
+                      *(n // self.nx for n in self.n_sweep))
+        try:
+            ula(self.hris_position, longest, C0 / self.fc_hz * HALF_WAVE)
+        except ValueError as exc:
+            raise computed_error(
+                f"a {longest}-element half-wave array axis fails ({exc})",
+                ("fc_ghz", "nx", "nz", "n_sweep", "m_bs_antennas")) from exc
         # S = round(C/delta) + 1 in Joules, bounded before C/delta is rounded
         delta_j = mah_to_joules(self.delta_mah, self.battery_voltage)
         for name, c in (("capacity_mah", self.capacity_mah), *(

@@ -24,28 +24,67 @@ def test_ula_offsets_symmetric_and_spaced():
     assert np.ptp(arr.element_offsets[:, 1:]) == 0.0
 
 
-def _reference_ula(center, n_elements, spacing):
-    """The layout ``ula`` built itself before it became one planar row."""
-    if n_elements < 1:
-        raise ValueError("need at least one element")
+def _reference_planar(nx, nz, spacing):
+    """The offsets ``planar`` laid out before an array built its own grid."""
+    ix = np.arange(nx) - (nx - 1) / 2.0
+    iz = np.arange(nz) - (nz - 1) / 2.0
+    xx, zz = np.meshgrid(ix, iz)  # raveling gives x varying fastest
+    offsets = np.zeros((nx * nz, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets[:, 0] = xx.ravel() * spacing
+        offsets[:, 2] = zz.ravel() * spacing
+    return offsets
+
+
+def _reference_ula(n_elements, spacing):
+    """The offsets ``ula`` laid out before it became one planar row."""
     idx = np.arange(n_elements) - (n_elements - 1) / 2.0
     offsets = np.zeros((n_elements, 3))
-    offsets[:, 0] = idx * spacing
-    return ArrayGeometry(center, offsets, nx=n_elements, nz=1, spacing=spacing)
+    with np.errstate(over="ignore"):
+        offsets[:, 0] = idx * spacing
+    return offsets
+
+
+def _assert_lays_out(make, ref):
+    """``make()`` holds the reference offsets bit for bit, or rejects them
+    as not finite."""
+    if not np.isfinite(ref).all():
+        with pytest.raises(ValueError, match="offsets must be finite"):
+            make()
+        return
+    arr = make()
+    assert np.array_equal(arr.element_offsets.view(np.int64), ref.view(np.int64))
+
+
+# from 1e-300 m through half a wavelength at 1e-6 GHz to 1e307 m, where the
+# longer axes overflow
+SPACINGS = st.one_of(st.sampled_from([1e-300, 5e-3, WIDE, 1e307]),
+                     st.floats(1e-300, 1e307))
 
 
 @settings(deadline=None)
-@given(st.integers(1, 130), st.floats(1e-3, 1e5))
+@given(st.integers(1, 130), st.integers(1, 130), SPACINGS)
+def test_planar_equals_the_reference_layout_bit_for_bit(nx, nz, spacing):
+    _assert_lays_out(lambda: planar(TABLE1_HRIS, nx, nz, spacing),
+                     _reference_planar(nx, nz, spacing))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 130), SPACINGS)
 def test_ula_equals_the_reference_layout_bit_for_bit(n, spacing):
-    arr, ref = ula(TABLE1_BS, n, spacing), _reference_ula(TABLE1_BS, n, spacing)
-    assert np.array_equal(arr.element_offsets.view(np.int64),
-                          ref.element_offsets.view(np.int64))
-    assert (arr.nx, arr.nz, arr.spacing) == (ref.nx, ref.nz, ref.spacing)
+    _assert_lays_out(lambda: ula(TABLE1_BS, n, spacing),
+                     _reference_ula(n, spacing))
 
 
-# at 150 km spacing the mean of these symmetric layouts rounded past the
-# absolute 1e-12 m that the centroid check allowed; at 1e307 m the sum of
-# their offsets overflowed
+def test_array_is_built_from_its_grid():
+    arr = ArrayGeometry(TABLE1_HRIS, 8, 4, 5e-3)
+    assert arr.n_elements == 32 and arr.element_offsets.shape == (32, 3)
+    row = ula(TABLE1_BS, 4, 5e-3)
+    assert (row.nx, row.nz, row.spacing, row.n_elements) == (4, 1, 5e-3, 4)
+
+
+# an array whose offsets are finite constructs, even where their mean rounds
+# past 1e-12 m (150 km spacing) or their sum passes the float range (1e307 m)
 def test_wide_spacing_layouts_construct():
     assert planar(TABLE1_HRIS, 8, 4, WIDE).n_elements == 32
     assert ula(TABLE1_BS, 128, WIDE).n_elements == 128
@@ -53,21 +92,13 @@ def test_wide_spacing_layouts_construct():
     assert ula(TABLE1_BS, 36, 1e307).n_elements == 36
 
 
-# a NaN or an infinite offset passed the centroid check
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+# a spacing an API caller passes may be NaN, infinite, or finite but too wide
+# for the array: 1e308 m at 64 elements puts the outer ones past the float
+# range; each is rejected without a floating-point warning
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
 def test_non_finite_offsets_rejected(bad):
-    offsets = planar(TABLE1_HRIS, 8, 4, 5e-3).element_offsets
-    offsets[3, 1] = bad
     with pytest.raises(ValueError, match="offsets must be finite"):
-        ArrayGeometry(TABLE1_HRIS, offsets, nx=8, nz=4)
-
-
-@pytest.mark.parametrize("spacing", [5e-3, WIDE])
-def test_off_center_layout_rejected_at_any_scale(spacing):
-    offsets = planar(TABLE1_HRIS, 8, 4, spacing).element_offsets
-    shifted = offsets + [1e-9 * np.abs(offsets).max(), 0.0, 0.0]
-    with pytest.raises(ValueError, match="symmetric about the center"):
-        ArrayGeometry(TABLE1_HRIS, shifted, nx=8, nz=4, spacing=spacing)
+        planar(TABLE1_HRIS, 8, 8, bad)
 
 
 def test_planar_layout_row_major_x_fastest():
@@ -83,10 +114,11 @@ def test_planar_layout_row_major_x_fastest():
 
 
 def test_planar_element_count_validated():
-    with pytest.raises(ValueError):
-        ArrayGeometry(TABLE1_HRIS, np.zeros((5, 3)), nx=2, nz=3)
-    with pytest.raises(ValueError):  # a linear array is checked the same way
-        ArrayGeometry(TABLE1_BS, np.zeros((4, 3)), nx=3, nz=1)
+    for nx, nz in [(0, 4), (8, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match="at least one element per axis"):
+            planar(TABLE1_HRIS, nx, nz, 5e-3)
+    with pytest.raises(ValueError, match="at least one element per axis"):
+        ula(TABLE1_BS, 0, 5e-3)  # a linear array is checked the same way
 
 
 def test_wave_vector_unit_axis():

@@ -155,8 +155,9 @@ def test_bad_sweep_entry_is_a_config_error(tmp_path, capsys, name, bad):
     ("p_dbm", 1e308), ("p_dbm", -1e308), ("noise_dbm", 1e6),
     ("noise_dbm", -1e308),
     # an infinite carrier in Hz gave a zero wavelength: ZeroDivisionError;
-    # an infinite wavelength ran sumrate to NaN sum rates with exit 0
-    ("fc_ghz", 1e308), ("fc_ghz", 1e-309),
+    # an infinite wavelength ran sumrate to NaN sum rates with exit 0; at
+    # 2e-309 GHz the half-wave spacing overflows the 8-element surface rows
+    ("fc_ghz", 1e308), ("fc_ghz", 1e-309), ("fc_ghz", 2e-309),
     # probe-q0, probe-q64 and probe-q1000000 exited 1 with a ValueError or
     # OverflowError traceback; 33 bits ran, and is the first past MAX_Q_BITS
     *(pytest.param("schemes", ["idle", s], id=f"schemes-{s}") for s in
@@ -229,6 +230,32 @@ def test_kilohertz_carrier_runs_to_finite_csvs(tmp_path, experiment):
         csvs = sorted(out.glob("*.csv"))
         assert csvs and all(math.isfinite(v) for p in csvs
                             for v in _numbers(p))
+
+
+# each exited 1 with "element offsets must be finite" from the first array
+# the run laid out: the half-wave spacing of the carrier overflowed the
+# longest array axis, which the carrier alone does not decide
+@pytest.mark.parametrize("base, edits, experiment", [
+    pytest.param("coverage.json", {"fc_ghz": 5e-308}, "sumrate",
+                 id="coverage-m128"),
+    *(pytest.param("small", {"fc_ghz": 3e-309, name: 16}, experiment,
+                   id=f"small-{name}16-{experiment}")
+      for name, experiment in [("nx", "sumrate"), ("nx", "energy"),
+                               ("m_bs_antennas", "sumrate")])])
+def test_carrier_overflowing_the_longest_array_is_a_config_error(
+        tmp_path, capsys, base, edits, experiment):
+    data = (_SMALL.to_dict() if base == "small" else json.loads(
+        default_scenario_path().with_name(base).read_text()))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**data, **edits}))
+    rc = cli_main(["run", "--config", str(path), "--experiment", experiment,
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("element offsets must be finite",
+                                        "fc_ghz", "nx", "nz", "n_sweep",
+                                        "m_bs_antennas"))
+    assert not (tmp_path / "out").exists()
 
 
 # the cases of each run-time guard of a value a run computes: per case the
