@@ -4,6 +4,7 @@ The base station is a uniform linear array along the x axis; the hybrid RIS
 is a planar array in the x-z plane with broadside along +y.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,17 @@ class Radio:
         self.wavelength = C0 / self.carrier_hz
 
 
+def check_axis(n: int, spacing: float) -> None:
+    """Raise unless ``n`` elements ``spacing`` apart about a centre have
+    finite offsets: the outer two lie farthest out, (n - 1) / 2 spacings."""
+    try:
+        half = float(n - 1) / 2.0
+    except OverflowError:  # an n - 1 too large for a float is not finite
+        half = math.inf
+    if not math.isfinite(half * float(spacing)):
+        raise ValueError("element offsets must be finite")
+
+
 @dataclass(eq=False)
 class ArrayGeometry:
     """Planar nx-by-nz array in the x-z plane, ``spacing`` apart on both axes.
@@ -46,15 +58,13 @@ class ArrayGeometry:
             raise ValueError("center must be a 3-vector")
         if self.nx < 1 or self.nz < 1:
             raise ValueError("need at least one element per axis")
+        check_axis(max(self.nx, self.nz), self.spacing)
         ix = np.arange(self.nx) - (self.nx - 1) / 2.0
         iz = np.arange(self.nz) - (self.nz - 1) / 2.0
         xx, zz = np.meshgrid(ix, iz)  # raveling gives x varying fastest
         self.element_offsets = np.zeros((self.n_elements, 3))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            self.element_offsets[:, 0] = xx.ravel() * self.spacing
-            self.element_offsets[:, 2] = zz.ravel() * self.spacing
-        if not np.isfinite(self.element_offsets).all():
-            raise ValueError("element offsets must be finite")
+        self.element_offsets[:, 0] = xx.ravel() * self.spacing
+        self.element_offsets[:, 2] = zz.ravel() * self.spacing
 
     @property
     def n_elements(self) -> int:

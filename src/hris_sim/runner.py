@@ -362,9 +362,8 @@ def step_dist(mean_power_w: float, std_power_w: float, step_s: float,
     well defined when the drop-to-drop variation vanishes. A mean or spread
     that is not finite raises a computed_error.
     """
-    with np.errstate(over="ignore"):
-        mean = mean_power_w * step_s
-        sigma = max(std_power_w * step_s, 1e-9 * delta_j)
+    mean = mean_power_w * step_s
+    sigma = max(std_power_w * step_s, 1e-9 * delta_j)
     if not np.isfinite([mean, sigma]).all():
         raise computed_error("net energy per step", (
             "mc_step_s harvester_a_w harvester_b_w harvester_c_w p_on_mw "

@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .battery import mah_to_joules
-from .geometry import C0, HALF_WAVE, MIN_DISTANCE_M, ula
+from .geometry import C0, HALF_WAVE, MIN_DISTANCE_M, check_axis
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +192,7 @@ class Scenario:
         longest = max(self.nx, self.nz, self.m_bs_antennas,
                       *(n // self.nx for n in self.n_sweep))
         try:
-            ula(self.hris_position, longest, C0 / self.fc_hz * HALF_WAVE)
+            check_axis(longest, C0 / self.fc_hz * HALF_WAVE)
         except ValueError as exc:
             raise computed_error(
                 f"a {longest}-element half-wave array axis fails ({exc})",

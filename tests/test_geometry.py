@@ -1,6 +1,9 @@
+import math
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hris_sim.geometry import (HALF_WAVE, ArrayGeometry, Radio,
@@ -62,8 +65,35 @@ SPACINGS = st.one_of(st.sampled_from([1e-300, 5e-3, WIDE, 1e307]),
                      st.floats(1e-300, 1e307))
 
 
+def _overflow_edge(n):
+    """The widest spacing at which ``n`` elements have finite offsets, and
+    the next float up, at which the outer two overflow."""
+    half = (n - 1) / 2.0
+    s = min(sys.float_info.max / half, sys.float_info.max)
+    while math.isfinite(half * s):
+        s = math.nextafter(s, math.inf)
+    while not math.isfinite(half * s):
+        s = math.nextafter(s, 0.0)
+    return s, math.nextafter(s, math.inf)
+
+
+# one ulp either side of the spacing at which an axis of n elements overflows
+EDGES = [(n, spacing) for n in (2, 5, 128, 3000) for spacing in _overflow_edge(n)]
+
+
+def _examples(*rows):
+    """Decorate a hypothesis test with one explicit example per row."""
+    def decorate(test):
+        for row in rows:
+            test = example(*row)(test)
+        return test
+    return decorate
+
+
 @settings(deadline=None)
 @given(st.integers(1, 130), st.integers(1, 130), SPACINGS)
+@_examples(*((n, 1, spacing) for n, spacing in EDGES),
+           *((1, n, spacing) for n, spacing in EDGES))
 def test_planar_equals_the_reference_layout_bit_for_bit(nx, nz, spacing):
     _assert_lays_out(lambda: planar(TABLE1_HRIS, nx, nz, spacing),
                      _reference_planar(nx, nz, spacing))
@@ -71,6 +101,7 @@ def test_planar_equals_the_reference_layout_bit_for_bit(nx, nz, spacing):
 
 @settings(deadline=None)
 @given(st.integers(1, 130), SPACINGS)
+@_examples(*EDGES)
 def test_ula_equals_the_reference_layout_bit_for_bit(n, spacing):
     _assert_lays_out(lambda: ula(TABLE1_BS, n, spacing),
                      _reference_ula(n, spacing))
@@ -94,11 +125,18 @@ def test_wide_spacing_layouts_construct():
 
 # a spacing an API caller passes may be NaN, infinite, or finite but too wide
 # for the array: 1e308 m at 64 elements puts the outer ones past the float
-# range; each is rejected without a floating-point warning
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
-def test_non_finite_offsets_rejected(bad):
+# range; a lone element sits at 0 spacings, NaN at a NaN or infinite one; and
+# a row of 10**400 elements has more than a float can count. Each is
+# rejected without a floating-point warning or an attempt to lay it out.
+@pytest.mark.parametrize("nx, nz, bad", [
+    pytest.param(8, 8, np.nan, id="nan"), pytest.param(8, 8, np.inf, id="inf"),
+    pytest.param(8, 8, 1e308, id="1e+308"),
+    pytest.param(1, 1, np.inf, id="1x1-inf"),
+    pytest.param(1, 1, np.nan, id="1x1-nan"),
+    pytest.param(10**400, 1, 5e-3, id="ula-1e400")])
+def test_non_finite_offsets_rejected(nx, nz, bad):
     with pytest.raises(ValueError, match="offsets must be finite"):
-        planar(TABLE1_HRIS, 8, 8, bad)
+        planar(TABLE1_HRIS, nx, nz, bad)
 
 
 def test_planar_layout_row_major_x_fastest():

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,20 @@ def test_carrier_overflowing_the_longest_array_is_a_config_error(
                                         "fc_ghz", "nx", "nz", "n_sweep",
                                         "m_bs_antennas"))
     assert not (tmp_path / "out").exists()
+
+
+# the carrier rule checks the outer offset of the longest axis by arithmetic,
+# so an n_sweep entry of 8e6 elements, a 1e6-element axis at nx 8 that a
+# sumrate run never lays out, costs a Scenario no memory; its layout is 56 MB
+def test_scenario_checks_its_longest_axis_in_constant_memory():
+    tracemalloc.start()
+    try:
+        sc = dataclasses.replace(_SMALL, n_sweep=(8_000_000,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sc.n_sweep == (8_000_000,) and 8_000_000 % sc.nx == 0
+    assert peak < 1_000_000
 
 
 # the cases of each run-time guard of a value a run computes: per case the
