@@ -16,7 +16,7 @@ simulator of the same quantized process provides the empirical counterpart.
 import bisect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby, repeat
 from typing import NamedTuple
 
@@ -156,7 +156,6 @@ class BatteryChain:
     step: float  # Joules between adjacent states
     psi: np.ndarray  # (S, S) row-stochastic transition matrix
     guard_state: int
-    pi: np.ndarray | None = field(default=None)  # cached stationary distribution
 
     @property
     def capacity(self) -> float:
@@ -234,7 +233,7 @@ def stationary(chain: BatteryChain) -> np.ndarray:
     """Unique fixed point of pi = Psi^T pi via a direct linear solve.
 
     Requires an irreducible chain; otherwise raises ReducibleChainError
-    naming the closed class(es). The result is cached on the chain.
+    naming the closed class(es).
     """
     n_comp, closed = _closed_classes(chain.psi)
     if n_comp > 1:
@@ -251,7 +250,6 @@ def stationary(chain: BatteryChain) -> np.ndarray:
     residual = np.abs(chain.psi.T @ pi - pi).max()
     if residual > _RESIDUAL_TOL:
         raise ValueError(f"stationary solve residual {residual:.3e} above tolerance")
-    chain.pi = pi
     return pi
 
 
@@ -273,7 +271,7 @@ def stationary_power_iteration(chain: BatteryChain, tol: float = 1e-13,
 def loss_of_charge(chain: BatteryChain) -> float:
     """Stationary probability mass at or below the guard state, at most 1:
     the prefix sum of a normalized ``pi`` can round past it."""
-    pi = chain.pi if chain.pi is not None else stationary(chain)
+    pi = stationary(chain)
     return min(float(pi[: chain.guard_state + 1].sum()), 1.0)
 
 
@@ -301,7 +299,7 @@ def ploc_standard_error(chain: BatteryChain, n_periods: int) -> float:
     var = p(1-p) + 2 (pi o f)^T (Z - I) f with Z = (I - Psi + 1 pi^T)^-1,
     which accounts for the chain's autocorrelation.
     """
-    pi = chain.pi if chain.pi is not None else stationary(chain)
+    pi = stationary(chain)
     s = chain.n_states
     f = np.zeros(s)
     f[: chain.guard_state + 1] = 1.0

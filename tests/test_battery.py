@@ -116,6 +116,17 @@ class TestStationary:
         b = stationary_power_iteration(chain)
         assert np.abs(a - b).max() < 1e-8
 
+    def test_solves_leave_the_chain_unchanged(self):
+        chain = build_chain(NetEnergyDist.gaussian(0.1, 1.1), 25, 1.0, 0.1)
+        before, psi = dict(vars(chain)), chain.psi.copy()
+        stationary(chain)
+        loss_of_charge(chain)
+        resolve_loss_of_charge(chain)
+        ploc_standard_error(chain, 10 ** 6)
+        assert vars(chain).keys() == before.keys()
+        assert all(vars(chain)[k] is v for k, v in before.items())
+        assert np.array_equal(chain.psi, psi)
+
 
 class TestLossOfCharge:
     def test_charging_regime_tiny_ploc(self):
@@ -836,6 +847,40 @@ class TestStandardError:
         pi = np.array([0.2, 0.3, 0.5])
         psi = np.tile(pi, (3, 1))
         chain = BatteryChain(n_states=3, step=1.0, psi=psi, guard_state=0)
-        chain.pi = pi
         se = ploc_standard_error(chain, 10000)
         assert np.isclose(se, np.sqrt(0.2 * 0.8 / 10000), rtol=1e-9)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: states_for_capacity(0.0, 1.0),
+                 "capacity and delta must be positive", id="capacity"),
+    pytest.param(lambda: NetEnergyDist.gaussian(0.0, 0.0),
+                 "std must be positive", id="std"),
+    pytest.param(lambda: build_chain(NetEnergyDist.gaussian(0.0, 1.0), 1, 1.0, 0.1),
+                 "need at least two states", id="n_states"),
+    pytest.param(lambda: build_chain(NetEnergyDist.gaussian(0.0, 1.0), 5, 0.0, 0.1),
+                 "delta must be positive", id="delta"),
+    pytest.param(lambda: build_chain(NetEnergyDist.gaussian(0.0, 1.0), 5, 1.0, 1.0),
+                 r"gamma must lie in \[0, 1\)", id="gamma"),
+    pytest.param(lambda: build_chain(NetEnergyDist(
+                     0.0, 1.0, lambda x: 1.0 - ndtr(x), None), 5, 1.0, 0.1),
+                 "cdf is not monotone non-decreasing", id="cdf"),
+    pytest.param(lambda: stationary_power_iteration(BatteryChain(
+                     3, 1.0, np.array([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]), 0),
+                     max_iter=10),
+                 "power iteration did not converge", id="power-iteration"),
+    pytest.param(lambda: size_battery(NetEnergyDist.gaussian(0.0, 1.0), [1.0], 0.0, 0.1),
+                 r"target p_LoC must lie in \(0, 1\)", id="target"),
+    pytest.param(lambda: simulate_trace(np.zeros(5), 100.0, 5.0, 0.1, 10,
+                                        np.random.default_rng(0)),
+                 "energy stream shorter than the requested trace", id="stream"),
+    pytest.param(lambda: simulate_trace(np.zeros(5), 100.0, 5.0, 0.1, 0,
+                                        np.random.default_rng(0)),
+                 "n_periods must be >= 1", id="n_periods"),
+    pytest.param(lambda: trace_loss_of_charge(np.zeros(5), 100.0, 5.0, 0.1, 5,
+                                              np.random.default_rng(0), burn_in=5),
+                 r"burn_in must lie in \[0, n_periods\)", id="burn_in"),
+])
+def test_argument_check_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

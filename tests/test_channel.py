@@ -384,3 +384,20 @@ def test_both_los_states_of_the_bs_hris_link_occur_below_the_blockers():
     for los in (True, False):
         gs = {id(ch.G) for ch in block if ch.los_bs_hris is los}
         assert len(gs) == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: PathlossModel(gamma0=0.0),
+                 "gamma0 and d0 must be positive", id="gamma0"),
+    pytest.param(lambda: PathlossModel(chi_los=5.0, chi_nlos=4.0),
+                 "need 0 <= chi_los <= chi_nlos", id="chi"),
+    pytest.param(lambda: BlockageField(density=-1.0),
+                 "density must be >= 0", id="density"),
+    pytest.param(lambda: BlockageField(blocker_height=0.0),
+                 "blocker dimensions must be positive", id="blocker"),
+    pytest.param(lambda: BlockageField(mode="psychic"),
+                 "unknown blockage mode 'psychic'", id="mode"),
+])
+def test_argument_check_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

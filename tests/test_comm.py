@@ -336,3 +336,12 @@ class TestEvaluate:
         budget = evaluate(e, ch.h_d, prec, sc.noise_watts)
         assert np.all(budget.direct_power_fraction >= 0.0)
         assert np.all(budget.direct_power_fraction <= 1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: rzf_precoder(np.ones((4, 2)), 0.0, 1e-9),
+                 "total power must be positive", id="p_total"),
+])
+def test_argument_check_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -187,3 +187,18 @@ class TestAccountingProperties:
         reference = nu * zeta * h - controller_idle
         power = frame_power(h, 0, nu * zeta, p_on, controller_idle)
         assert power.net == reference
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: HarvesterModel(a=0.01, b=0.0, c=0.0),
+                 "c must be positive", id="c"),
+    pytest.param(lambda: ConsumptionModel(-1e-4, 2, 4.9e-3, 1.8e-3),
+                 "powers must be >= 0", id="powers"),
+    pytest.param(lambda: config_consumption(
+                     HrisConfig.from_indices(np.zeros(4, int), 3),
+                     ConsumptionModel(1e-4, 2, 4.9e-3, 1.8e-3)),
+                 "configuration bit depth does not match the model", id="bit-depth"),
+])
+def test_argument_check_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -237,3 +237,14 @@ def test_array_response_conjugate_is_mirror_source():
     mirrored = 2.0 * arr.center - p
     assert np.allclose(np.conj(array_response(arr, p, radio)),
                        array_response(arr, mirrored, radio))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: Radio(0.0), "carrier frequency must be positive",
+                 id="carrier"),
+    pytest.param(lambda: ArrayGeometry((0.0, 6.0), 2, 2, 5e-3),
+                 "center must be a 3-vector", id="center"),
+])
+def test_argument_check_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

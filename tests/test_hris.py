@@ -453,3 +453,17 @@ class TestComposeAndOracle:
                 tq = quantize(theta, q)
                 gains[q].append(np.abs(np.vdot(tq.phases, h_hat)))
         assert np.mean(gains[2]) >= np.mean(gains[1])
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: HrisConfig(np.ones(4), "sideways"),
+                 "unknown branch 'sideways'", id="branch"),
+    pytest.param(lambda: HrisConfig(np.full(4, 2.0)),
+                 "per-element modulus must not exceed 1", id="modulus"),
+    pytest.param(lambda: probe(build_codebook(HRIS, RADIO, 4, 2), np.ones(32),
+                               0.8, 1e-11, weighting="max"),
+                 "unknown weighting 'max'", id="weighting"),
+])
+def test_argument_check_names_its_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

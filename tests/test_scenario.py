@@ -481,3 +481,11 @@ def test_cli_run_with_retired_fields_writes_the_same_bytes(tmp_path):
 def test_packaged_files_hold_exactly_the_scenario_fields(name):
     data = json.loads(default_scenario_path().with_name(name).read_text())
     assert set(data) == {f.name for f in dataclasses.fields(Scenario)}
+
+
+@pytest.mark.parametrize("text", ["[]", "7", '"table1"', "null"])
+def test_file_that_is_not_an_object_is_a_config_error(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="scenario file must hold a JSON object"):
+        load_scenario(path)
