@@ -265,7 +265,8 @@ def stationary_power_iteration(chain: BatteryChain, tol: float = 1e-13,
         if np.abs(nxt - pi).max() < tol:
             return nxt
         pi = nxt
-    raise ValueError("power iteration did not converge; chain may be reducible")
+    raise ValueError(f"power iteration did not converge in {max_iter} "
+                     "iterations; chain may be reducible or periodic")
 
 
 def loss_of_charge(chain: BatteryChain) -> float:

@@ -48,13 +48,13 @@ class BlockageField:
 class ChannelSet:
     """One realization of all links for a drop.
 
-    G is the rank-1 BS->HRIS matrix (N x M); ``h`` stacks the HRIS-UE vectors
-    (K x N); ``h_d`` the direct BS-UE vectors (K x M). ``a_r_bs`` is the HRIS
-    response toward the BS (the steering part of G), kept for configuration
-    synthesis.
+    The BS->HRIS link is held by its factors: ``amplitude`` is its sqrt gain
+    in this drop's LoS state, ``a_r_bs`` the HRIS response toward the BS (N,)
+    and ``a_bs`` the BS response toward the HRIS (M,). ``h`` stacks the
+    HRIS-UE vectors (K x N); ``h_d`` the direct BS-UE vectors (K x M).
     """
 
-    G: np.ndarray
+    amplitude: np.float64
     h: np.ndarray
     h_d: np.ndarray
     los_bs_hris: bool
@@ -62,6 +62,12 @@ class ChannelSet:
     los_bs_ue: np.ndarray
     ue_positions: np.ndarray
     a_r_bs: np.ndarray
+    a_bs: np.ndarray
+
+    @property
+    def G(self) -> np.ndarray:
+        """The rank-1 BS->HRIS matrix (N x M), built anew on each read."""
+        return self.amplitude * np.outer(self.a_r_bs, self.a_bs.conj())
 
 
 def pathloss(p, q, model: PathlossModel, exponent):
@@ -160,9 +166,9 @@ def realize_channels(scenario: Scenario, rngs):
     probabilities, pathloss and array responses are then computed once over
     the block's stacked UE points. Each link resolves LoS vs NLoS
     independently (affecting only the pathloss exponent); steering vectors
-    are the pure LoS array responses. G is the scaled outer product
-    a_R(b) a_BS(r)^H, hence rank one; the drops of a block share one G per
-    LoS state of the BS-HRIS link.
+    are the pure LoS array responses. The BS-HRIS link G is the scaled outer
+    product a_R(b) a_BS(r)^H, hence rank one; the drops of a block share its
+    two responses and one amplitude per LoS state of that link.
     """
     radio = Radio(scenario.fc_hz)
     half_wave = radio.wavelength * HALF_WAVE
@@ -210,10 +216,11 @@ def realize_channels(scenario: Scenario, rngs):
     h_d *= gain_h_d[..., None]
 
     a_r_bs = array_response(hris, b, radio)
-    outer = np.outer(a_r_bs, array_response(bs, r, radio).conj())
-    G = {los: np.sqrt(pathloss(b, r, model, _chi(model, los))) * outer
-         for los in set(los_bs_hris)}
-    return [ChannelSet(G=G[los], h=h[i], h_d=h_d[i], los_bs_hris=los,
-                       los_hris_ue=los_hris_ue[i], los_bs_ue=los_bs_ue[i],
-                       ue_positions=ue[i], a_r_bs=a_r_bs)
+    a_bs = array_response(bs, r, radio)
+    amplitude = {los: np.sqrt(pathloss(b, r, model, _chi(model, los)))
+                 for los in set(los_bs_hris)}
+    return [ChannelSet(amplitude=amplitude[los], h=h[i], h_d=h_d[i],
+                       los_bs_hris=los, los_hris_ue=los_hris_ue[i],
+                       los_bs_ue=los_bs_ue[i], ue_positions=ue[i],
+                       a_r_bs=a_r_bs, a_bs=a_bs)
             for i, los in enumerate(los_bs_hris)]

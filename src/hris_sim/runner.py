@@ -118,8 +118,8 @@ def _reflection_for_scheme(scenario: Scenario, channels, scheme: str, codebooks)
 
 class _BsProbe(NamedTuple):
     """The BS side of the probe in one LoS state of the BS-HRIS link, which
-    depends only on G and a_r_bs: the combined absorption config, and the
-    power its quantized config senses and that config's active diodes."""
+    depends only on that link's factors: the combined absorption config, and
+    the power its quantized config senses and that config's active diodes."""
 
     phi: HrisConfig
     power: float
@@ -141,7 +141,7 @@ def _probe_phase(sc: Scenario, probing, channels):
     reflection config the two compose.
 
     The BS side is computed from the first drop in the LoS state of this
-    drop's BS-HRIS link, then reused, as G does not vary from drop to drop.
+    drop's BS-HRIS link, then reused, as that link is the same in every drop.
     """
     codebook, q_bits, bs_sides = probing
     sweep = (sc.eta, sc.noise_watts, sc.probe_threshold_w, sc.combining)

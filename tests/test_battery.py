@@ -868,7 +868,8 @@ class TestStandardError:
     pytest.param(lambda: stationary_power_iteration(BatteryChain(
                      3, 1.0, np.array([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]), 0),
                      max_iter=10),
-                 "power iteration did not converge", id="power-iteration"),
+                 "power iteration did not converge in 10 iterations; chain "
+                 "may be reducible or periodic", id="power-iteration"),
     pytest.param(lambda: size_battery(NetEnergyDist.gaussian(0.0, 1.0), [1.0], 0.0, 0.1),
                  r"target p_LoC must lie in \(0, 1\)", id="target"),
     pytest.param(lambda: simulate_trace(np.zeros(5), 100.0, 5.0, 0.1, 10,

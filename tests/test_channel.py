@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hris_sim.channel import (BlockageField, ChannelSet, PathlossModel,
-                              los_probability, pathloss, realize_channels,
-                              simulate_blockage)
+from hris_sim.channel import (BlockageField, PathlossModel, los_probability,
+                              pathloss, realize_channels, simulate_blockage)
 from hris_sim.geometry import (MIN_DISTANCE_M, Radio, array_response, planar,
                                ula, wave_vector)
 from hris_sim.scenario import Scenario
@@ -98,9 +98,11 @@ def ref_realize_channels(scenario, rng):
             * ref_array_response(hris, ue[i], radio)
         h_d[i] = np.sqrt(ref_pathloss(b, ue[i], model, chi(los_bs_ue[i]))) \
             * ref_array_response(bs, ue[i], radio)
-    return ChannelSet(G=G, h=h, h_d=h_d, los_bs_hris=los_bs_hris,
-                      los_hris_ue=los_hris_ue, los_bs_ue=los_bs_ue,
-                      ue_positions=ue, a_r_bs=a_r_bs)
+    # G stays its own explicit expression, not ChannelSet's property
+    return SimpleNamespace(G=G, amplitude=np.sqrt(gain_g), h=h, h_d=h_d,
+                           los_bs_hris=los_bs_hris, los_hris_ue=los_hris_ue,
+                           los_bs_ue=los_bs_ue, ue_positions=ue,
+                           a_r_bs=a_r_bs, a_bs=a_bs_hris)
 
 
 coords = st.floats(-60.0, 60.0)
@@ -336,7 +338,7 @@ def test_realize_channels_matches_scalar_reference(
     got = realize_channels(sc, [np.random.default_rng(seed)])[0]
     assert type(got.los_bs_hris) is bool
     for name in ("G", "h", "h_d", "los_bs_hris", "los_hris_ue", "los_bs_ue",
-                 "ue_positions", "a_r_bs"):
+                 "ue_positions", "a_r_bs", "amplitude", "a_bs"):
         want, have = getattr(ref, name), getattr(got, name)
         assert np.array_equal(want, have), name
         assert np.asarray(want).dtype == np.asarray(have).dtype, name
@@ -366,7 +368,8 @@ def test_blocked_realization_matches_scalar_reference(k, drops, m, nx, nz,
     assert len(got) == n
     for d, have in enumerate(got):
         want = ref_realize_channels(sc, np.random.default_rng([seed, d]))
-        for name in ("G", "h", "h_d", "a_r_bs", "ue_positions"):
+        for name in ("G", "h", "h_d", "a_r_bs", "ue_positions", "amplitude",
+                     "a_bs"):
             assert np.array_equal(_bits(getattr(want, name)),
                                   _bits(getattr(have, name))), (d, name)
         assert type(have.los_bs_hris) is bool
@@ -380,10 +383,13 @@ def test_both_los_states_of_the_bs_hris_link_occur_below_the_blockers():
                   bs_position=(-25.0, 25.0, 1.0))
     block = realize_channels(sc, [np.random.default_rng(d) for d in range(40)])
     assert {ch.los_bs_hris for ch in block} == {True, False}
-    # the drops of one state share one G
+    # the drops of a block share the link's two responses, and the drops of
+    # one state its amplitude
+    for name in ("a_r_bs", "a_bs"):
+        assert len({id(getattr(ch, name)) for ch in block}) == 1, name
     for los in (True, False):
-        gs = {id(ch.G) for ch in block if ch.los_bs_hris is los}
-        assert len(gs) == 1
+        amplitudes = {ch.amplitude for ch in block if ch.los_bs_hris is los}
+        assert len(amplitudes) == 1
 
 
 @pytest.mark.parametrize("call, message", [

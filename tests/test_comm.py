@@ -3,17 +3,24 @@ import platform
 import subprocess
 import sys
 import threading
+from dataclasses import replace
+from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hris_sim.channel import ChannelSet, realize_channels
+from hris_sim.channel import realize_channels
 from hris_sim.comm import effective_channels, evaluate, rzf_precoder
 from hris_sim.hris import REFLECTION, HrisConfig, idle_config, oracle_config
-from hris_sim.scenario import Scenario
+from hris_sim.runner import (_EXP_SUMRATE, _probe_codebooks,
+                             _reflection_for_scheme, _rng)
+from hris_sim.scenario import Scenario, load_scenario
+
+COVERAGE = load_scenario(resources.files("hris_sim").joinpath("data/coverage.json"))
 
 
 def random_channels(k_users=3, seed=0):
@@ -102,15 +109,31 @@ def test_effective_channels_equal_reference_bit_for_bit(shapes, seed,
     rng = np.random.default_rng(seed)
     for m, k, complex_ in shapes:
         n = int(rng.integers(1, 33))
-        channels = ChannelSet(
+        # a stand-in with the three links effective_channels reads, so G
+        # may be of any rank, unlike ChannelSet's
+        channels = SimpleNamespace(
             G=draw(rng, (n, m), complex_), h=draw(rng, (k, n), complex_),
-            h_d=draw(rng, (k, m), complex_ or direct_complex),
-            los_bs_hris=True, los_hris_ue=np.ones(k, bool),
-            los_bs_ue=np.ones(k, bool), ue_positions=np.zeros((k, 3)),
-            a_r_bs=np.ones(n, complex))
+            h_d=draw(rng, (k, m), complex_ or direct_complex))
         theta = HrisConfig(np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
         assert_same_bits(effective_channels(channels, theta, eta),
                          reference_effective_channels(channels, theta, eta))
+
+
+@pytest.mark.parametrize("k", [10, 75])
+def test_effective_channels_factor_through_the_rank_one_link(k):
+    # G^H (theta h^T) = amplitude a_bs (a_r_bs^H theta h^T), so the link's
+    # factors on ChannelSet are all that the rank-one form of H needs
+    sc = replace(COVERAGE, k_users=k)
+    codebooks = _probe_codebooks(sc)
+    for drop in range(5):
+        ch = realize_channels(sc, [_rng(sc, _EXP_SUMRATE, k, drop)])[0]
+        for scheme in sc.schemes:
+            theta = _reflection_for_scheme(sc, ch, scheme, codebooks)
+            have = effective_channels(ch, theta, sc.eta)
+            row = ch.a_r_bs.conj() @ (theta.phases[:, None] * ch.h.T)
+            want = ch.h_d.T + np.sqrt(sc.eta) * ch.amplitude * np.outer(ch.a_bs, row)
+            err = np.linalg.norm(have - want, axis=0)
+            assert np.all(err <= 1e-12 * np.linalg.norm(have, axis=0)), scheme
 
 
 # A warm M = 128, K = 75 call faults in about 2 pages, all inside
@@ -259,7 +282,7 @@ class TestEvaluate:
         sc, ch = random_channels(k_users=2)
         ch.h_d[:] = 0.0
         ch.h[:] = 0.0
-        ch.G[:] = 0.0
+        ch.amplitude = 0.0
         e = effective_channels(ch, idle_config(sc.n_hris_elements), sc.eta)
         prec = rzf_precoder(np.eye(4, 2, dtype=complex), sc.p_watts, sc.noise_watts)
         budget = evaluate(e, ch.h_d, prec, sc.noise_watts)

@@ -120,10 +120,10 @@ def test_oracle_equals_the_two_step_form_bit_for_bit(k, n, seed, mode):
     gains = 10.0 ** rng.uniform(-8, 0, (k, 1))  # UE channels far apart in gain
     h = gains * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
     a_r_bs = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    ch = ChannelSet(G=a_r_bs[:, None], h=h, h_d=np.ones((k, 1)),
+    ch = ChannelSet(amplitude=1.0, h=h, h_d=np.ones((k, 1)),
                     los_bs_hris=True, los_hris_ue=np.ones(k, bool),
                     los_bs_ue=np.ones(k, bool), ue_positions=np.zeros((k, 3)),
-                    a_r_bs=a_r_bs)
+                    a_r_bs=a_r_bs, a_bs=np.ones(1))
     h_hat = np.conj(_reference_aggregate_ue_channel(ch, mode)) * ch.a_r_bs
     expected = np.exp(1j * np.angle(h_hat))
     assert np.array_equal(oracle_config(ch, mode).phases.view(np.int64),
