@@ -15,7 +15,6 @@ simulator of the same quantized process provides the empirical counterpart.
 
 import bisect
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from typing import NamedTuple
@@ -118,18 +117,17 @@ def states_for_capacity(capacity: float, delta: float) -> int:
     return int(round(capacity / delta)) + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetEnergyDist:
-    """Distribution of the net stored energy per period (Joules).
+    """Gaussian distribution of the net stored energy per period (Joules).
 
     ``cdf`` maps an array of energies x to the array of P[dE <= x], element
-    by element; ``sampler`` (rng, n) draws n values for the trace simulator.
+    by element; ``sample`` (rng, n) draws n values for the trace simulator.
+    A subclass overriding both gives another law.
     """
 
     mean: float
     std: float
-    cdf: Callable
-    sampler: Callable
 
     def __post_init__(self):
         for name in ("mean", "std"):
@@ -140,22 +138,26 @@ class NetEnergyDist:
 
     @classmethod
     def gaussian(cls, mean: float, std: float) -> "NetEnergyDist":
-        return cls(mean=mean, std=std,
-                   cdf=lambda x: _ndtr((x - mean) / std),
-                   sampler=lambda rng, n: rng.normal(mean, std, size=n))
+        return cls(mean, std)
+
+    def cdf(self, x) -> np.ndarray:
+        return _ndtr((x - self.mean) / self.std)
 
     def sample(self, rng, n: int) -> np.ndarray:
-        return np.asarray(self.sampler(rng, n), dtype=float)
+        return np.asarray(rng.normal(self.mean, self.std, size=n), dtype=float)
 
 
 @dataclass(eq=False)
 class BatteryChain:
     """Assembled state-of-charge chain with its transition matrix."""
 
-    n_states: int
     step: float  # Joules between adjacent states
     psi: np.ndarray  # (S, S) row-stochastic transition matrix
     guard_state: int
+
+    @property
+    def n_states(self) -> int:
+        return len(self.psi)
 
     @property
     def capacity(self) -> float:
@@ -202,9 +204,10 @@ def _assemble_chain(f_grid, n_states: int, delta: float,
     psi[:, 1:s - 1] = np.lib.stride_tricks.sliding_window_view(steps, s - 2)[s:0:-1]
     row_err = np.abs(psi.sum(axis=1) - 1.0).max()
     if row_err > 1e-12 or psi.min() < -1e-15:
-        raise ValueError(f"transition matrix not stochastic (row error {row_err:.3e})")
+        raise ValueError(f"transition matrix not stochastic (row error "
+                         f"{row_err:.3e}, smallest entry {psi.min():.3e})")
     np.clip(psi, 0.0, None, out=psi)
-    return BatteryChain(s, delta, psi, guard_state(s, gamma))
+    return BatteryChain(delta, psi, guard_state(s, gamma))
 
 
 def _closed_classes(psi: np.ndarray):

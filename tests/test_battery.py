@@ -1,4 +1,6 @@
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from itertools import repeat
 from unittest import mock
 
@@ -26,11 +28,14 @@ def two_point_dist(lo, hi, delta):
     """dE is lo*delta or hi*delta with equal probability; atoms off the grid."""
     a, b = lo * delta, hi * delta
 
-    def cdf(x):
-        return np.where(x > a, 0.5, 0.0) + np.where(x > b, 0.5, 0.0)
+    class TwoPoint(NetEnergyDist):
+        def cdf(self, x):
+            return np.where(x > a, 0.5, 0.0) + np.where(x > b, 0.5, 0.0)
 
-    return NetEnergyDist(mean=(a + b) / 2, std=(b - a) / 2, cdf=cdf,
-                         sampler=lambda rng, n: np.where(rng.uniform(size=n) < 0.5, a, b))
+        def sample(self, rng, n):
+            return np.where(rng.uniform(size=n) < 0.5, a, b)
+
+    return TwoPoint(mean=(a + b) / 2, std=(b - a) / 2)
 
 
 class TestUnitsAndShape:
@@ -45,6 +50,35 @@ class TestUnitsAndShape:
         chain = build_chain(NetEnergyDist.gaussian(0.0, 1.0), 21, 20.0, 0.1)
         assert chain.capacity == 400.0
         assert chain.guard_state == 2
+
+    def test_replaced_psi_sets_the_state_count(self):
+        dist = NetEnergyDist.gaussian(0.0, 1.0)
+        bigger = build_chain(dist, 7, 2.0, 0.1)
+        chain = replace(build_chain(dist, 5, 2.0, 0.1), psi=bigger.psi)
+        assert chain.n_states == 7 and chain.capacity == 12.0
+        assert np.array_equal(stationary(chain), stationary(bigger))
+
+
+class TestNetEnergyDistValue:
+    def test_replaced_mean_moves_cdf_and_samples(self):
+        dist = replace(NetEnergyDist.gaussian(0.0, 1.0), mean=5.0)
+        assert dist.cdf(np.array([5.0]))[0] == 0.5
+        want = NetEnergyDist.gaussian(5.0, 1.0).sample(np.random.default_rng(3), 100)
+        assert np.array_equal(dist.sample(np.random.default_rng(3), 100), want)
+
+    def test_equal_parameters_give_equal_values(self):
+        dist = NetEnergyDist.gaussian(0.5, 2.0)
+        assert dist == NetEnergyDist.gaussian(0.5, 2.0)
+        assert pickle.loads(pickle.dumps(dist)) == dist
+
+    def test_a_field_is_set_only_through_the_checks(self):
+        # cdf and sample read the fields, so an assignment would skip
+        # __post_init__; replace runs it
+        dist = NetEnergyDist.gaussian(0.0, 1.0)
+        with pytest.raises(FrozenInstanceError):
+            dist.std = 0.0
+        with pytest.raises(ValueError, match="std must be positive"):
+            replace(dist, std=0.0)
 
 
 class TestBuildChain:
@@ -265,8 +299,11 @@ class TestTrace:
                            np.random.default_rng(0), idle_source=idle_source)
 
     def test_non_finite_samples_are_rejected(self):
-        dist = NetEnergyDist(0.0, 1.0, cdf=lambda x: x,
-                             sampler=lambda rng, n: np.r_[np.zeros(n - 1), -np.inf])
+        class EndsInMinusInf(NetEnergyDist):
+            def sample(self, rng, n):
+                return np.r_[np.zeros(n - 1), -np.inf]
+
+        dist = EndsInMinusInf(0.0, 1.0)
         with pytest.raises(ValueError, match="-inf in 1 of 50 periods"):
             simulate_trace(dist, 100.0, 5.0, 0.1, 50, np.random.default_rng(0))
 
@@ -435,7 +472,7 @@ def assert_closed_classes_match_reference(psi):
     assert n_comp == want_n
     assert sorted(closed) == sorted(want_closed)
     if n_comp > 1:
-        chain = BatteryChain(n_states=len(psi), step=1.0, psi=psi, guard_state=0)
+        chain = BatteryChain(step=1.0, psi=psi, guard_state=0)
         with pytest.raises(ReducibleChainError) as err:
             stationary(chain)
         detail = "; ".join(str(c) for c in sorted(want_closed))  # by smallest state
@@ -647,11 +684,12 @@ class TestStreamedTrace:
     def test_non_finite_sample_in_a_later_chunk_is_rejected(self, simulate):
         calls = []
 
-        def sampler(rng, n):  # a NaN at the end of every draw but the first
-            calls.append(n)
-            return np.r_[np.zeros(n - 1), 0.0 if len(calls) == 1 else np.nan]
+        class NanAfterFirstDraw(NetEnergyDist):
+            def sample(self, rng, n):  # a NaN at the end of every draw but the first
+                calls.append(n)
+                return np.r_[np.zeros(n - 1), 0.0 if len(calls) == 1 else np.nan]
 
-        dist = NetEnergyDist(0.0, 1.0, cdf=lambda x: x, sampler=sampler)
+        dist = NanAfterFirstDraw(0.0, 1.0)
         with mock.patch.object(battery, "_CHUNK", 16), \
                 pytest.raises(ValueError, match="nan in 3 of 50 periods"):
             simulate(dist, 100.0, 5.0, 0.1, 50, np.random.default_rng(0))
@@ -846,9 +884,14 @@ class TestStandardError:
         # rows all equal to pi: zero autocorrelation
         pi = np.array([0.2, 0.3, 0.5])
         psi = np.tile(pi, (3, 1))
-        chain = BatteryChain(n_states=3, step=1.0, psi=psi, guard_state=0)
+        chain = BatteryChain(step=1.0, psi=psi, guard_state=0)
         se = ploc_standard_error(chain, 10000)
         assert np.isclose(se, np.sqrt(0.2 * 0.8 / 10000), rtol=1e-9)
+
+
+class Decreasing(NetEnergyDist):
+    def cdf(self, x):
+        return 1.0 - ndtr(x)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -862,11 +905,14 @@ class TestStandardError:
                  "delta must be positive", id="delta"),
     pytest.param(lambda: build_chain(NetEnergyDist.gaussian(0.0, 1.0), 5, 1.0, 1.0),
                  r"gamma must lie in \[0, 1\)", id="gamma"),
-    pytest.param(lambda: build_chain(NetEnergyDist(
-                     0.0, 1.0, lambda x: 1.0 - ndtr(x), None), 5, 1.0, 0.1),
+    pytest.param(lambda: build_chain(Decreasing(0.0, 1.0), 5, 1.0, 0.1),
                  "cdf is not monotone non-decreasing", id="cdf"),
+    pytest.param(lambda: battery._assemble_chain([0.0, 0.5, 1.0 + 1e-13], 2,
+                                                 1.0, 0.0),
+                 r"transition matrix not stochastic \(row error 0\.000e\+00, "
+                 r"smallest entry -9\.992e-14\)", id="stochastic"),
     pytest.param(lambda: stationary_power_iteration(BatteryChain(
-                     3, 1.0, np.array([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]), 0),
+                     1.0, np.array([[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]]), 0),
                      max_iter=10),
                  "power iteration did not converge in 10 iterations; chain "
                  "may be reducible or periodic", id="power-iteration"),

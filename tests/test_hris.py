@@ -182,7 +182,7 @@ def test_configs_and_codebooks_compare_by_identity():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: BatteryChain(2, 1.0, np.eye(2), 0),
+    lambda: BatteryChain(1.0, np.eye(2), 0),
     lambda: realize_channels(Scenario(k_users=2), [np.random.default_rng(0)])[0],
     lambda: LinkBudget(np.ones(2), 2.0, np.zeros(2)),
     lambda: planar((0.0, 0.0, 6.0), 2, 2, 0.005),
