@@ -112,7 +112,7 @@ def joules_to_mah(joules: float, voltage: float = 3.7) -> float:
 
 def states_for_capacity(capacity: float, delta: float) -> int:
     """Number of chain states for a capacity/step pair: round(C/delta) + 1."""
-    if capacity <= 0 or delta <= 0:
+    if not (capacity > 0 and delta > 0):
         raise ValueError("capacity and delta must be positive")
     return int(round(capacity / delta)) + 1
 
@@ -165,7 +165,9 @@ class BatteryChain:
 
 
 def guard_state(n_states: int, gamma: float) -> int:
-    """Index of the guard state, floor(gamma * (S-1))."""
+    """Index of the guard state, floor(gamma * (S-1)), for gamma in [0, 1)."""
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError("gamma must lie in [0, 1)")
     return int(np.floor(gamma * (n_states - 1)))
 
 
@@ -178,21 +180,21 @@ def build_chain(dist: NetEnergyDist, n_states: int, delta: float,
     [-(S-1), S-1].
     """
     f_grid = dist.cdf(np.arange(-(n_states - 1), n_states) * delta)
-    return _assemble_chain(f_grid, n_states, delta, gamma)
+    return _assemble_chain(f_grid, delta, gamma)
 
 
-def _assemble_chain(f_grid, n_states: int, delta: float,
-                    gamma: float) -> BatteryChain:
+def _assemble_chain(f_grid, delta: float, gamma: float) -> BatteryChain:
     """The chain of :func:`build_chain` from its CDF grid, f_grid[k + S-1] =
-    F(k*delta) for k in [-(S-1), S-1]."""
-    if n_states < 2:
-        raise ValueError("need at least two states")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
-    s = n_states
+    F(k*delta) for k in [-(S-1), S-1]; the grid's 2S-1 points give S."""
     f_grid = np.asarray(f_grid, dtype=float)
+    s = (len(f_grid) + 1) // 2
+    if s < 2:
+        raise ValueError("need at least two states")
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    guard = guard_state(s, gamma)
+    if not np.isfinite(f_grid).all():
+        raise ValueError("cdf is not finite on the step grid")
     steps = np.diff(f_grid)  # steps[k + S-1] = F((k+1)*delta) - F(k*delta)
     if np.any(steps < -1e-12) or np.any(f_grid < -1e-12) \
             or np.any(f_grid > 1 + 1e-12):
@@ -203,11 +205,11 @@ def _assemble_chain(f_grid, n_states: int, delta: float,
     # Toeplitz interior: psi[i, j] = steps[j - i + S-1], row i a window from S-i
     psi[:, 1:s - 1] = np.lib.stride_tricks.sliding_window_view(steps, s - 2)[s:0:-1]
     row_err = np.abs(psi.sum(axis=1) - 1.0).max()
-    if row_err > 1e-12 or psi.min() < -1e-15:
+    if not (row_err <= 1e-12 and psi.min() >= -1e-15):
         raise ValueError(f"transition matrix not stochastic (row error "
                          f"{row_err:.3e}, smallest entry {psi.min():.3e})")
     np.clip(psi, 0.0, None, out=psi)
-    return BatteryChain(delta, psi, guard_state(s, gamma))
+    return BatteryChain(delta, psi, guard)
 
 
 def _closed_classes(psi: np.ndarray):
@@ -235,9 +237,11 @@ _RESIDUAL_TOL = 1e-10  # largest |Psi^T pi - pi| a stationary solve may leave
 def stationary(chain: BatteryChain) -> np.ndarray:
     """Unique fixed point of pi = Psi^T pi via a direct linear solve.
 
-    Requires an irreducible chain; otherwise raises ReducibleChainError
-    naming the closed class(es).
+    Requires a finite, irreducible chain; otherwise raises a ValueError, or
+    ReducibleChainError naming the closed class(es).
     """
+    if not np.isfinite(chain.psi).all():
+        raise ValueError("transition matrix is not finite")
     n_comp, closed = _closed_classes(chain.psi)
     if n_comp > 1:
         raise ReducibleChainError(closed)
@@ -296,6 +300,12 @@ def resolve_loss_of_charge(chain: BatteryChain) -> tuple[float, str]:
         return 0.0, "saturated-charge"
 
 
+def _check_periods(n_periods: int) -> None:
+    """The rule on a count of periods averaged over: at least one."""
+    if not n_periods >= 1:
+        raise ValueError("n_periods must be >= 1")
+
+
 def ploc_standard_error(chain: BatteryChain, n_periods: int) -> float:
     """Standard error of the guard-mass time average over ``n_periods``.
 
@@ -303,6 +313,7 @@ def ploc_standard_error(chain: BatteryChain, n_periods: int) -> float:
     var = p(1-p) + 2 (pi o f)^T (Z - I) f with Z = (I - Psi + 1 pi^T)^-1,
     which accounts for the chain's autocorrelation.
     """
+    _check_periods(n_periods)
     pi = stationary(chain)
     s = chain.n_states
     f = np.zeros(s)
@@ -345,7 +356,7 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
         f_grid = dist.cdf(np.arange(-(s_max - 1), s_max) * delta)
 
         def meets(s):
-            chain = _assemble_chain(f_grid[s_max - s:s_max + s - 1], s, delta, gamma)
+            chain = _assemble_chain(f_grid[s_max - s:s_max + s - 1], delta, gamma)
             return resolve_loss_of_charge(chain)[0] <= target_ploc
 
         for run in runs:
@@ -499,8 +510,7 @@ def _walk_segments(source, delta: float, top: int, n_periods: int, rng,
 def _trace_limits(capacity: float, delta: float, gamma: float, n_periods: int,
                   burn_in: int) -> tuple[int, int]:
     """(guard state, top state) of a trace, after checking its period counts."""
-    if n_periods < 1:
-        raise ValueError("n_periods must be >= 1")
+    _check_periods(n_periods)
     if not 0 <= burn_in < n_periods:
         raise ValueError("burn_in must lie in [0, n_periods)")
     s = states_for_capacity(capacity, delta)

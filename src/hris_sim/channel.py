@@ -20,7 +20,7 @@ class PathlossModel:
     chi_nlos: float = 4.0
 
     def __post_init__(self):
-        if self.gamma0 <= 0 or self.d0 <= 0:
+        if not (self.gamma0 > 0 and self.d0 > 0):
             raise ValueError("gamma0 and d0 must be positive")
         if not 0 <= self.chi_los <= self.chi_nlos:
             raise ValueError("need 0 <= chi_los <= chi_nlos")
@@ -36,9 +36,9 @@ class BlockageField:
     mode: str = "analytic"
 
     def __post_init__(self):
-        if self.density < 0:
+        if not self.density >= 0:
             raise ValueError("density must be >= 0")
-        if self.blocker_height <= 0 or self.blocker_diameter <= 0:
+        if not (self.blocker_height > 0 and self.blocker_diameter > 0):
             raise ValueError("blocker dimensions must be positive")
         if self.mode not in ("analytic", "sampled"):
             raise ValueError(f"unknown blockage mode {self.mode!r}")
@@ -114,20 +114,25 @@ def simulate_blockage(tx, rx, field: BlockageField, rng, trials: int = 1) -> np.
 
     Monte-Carlo counterpart of :func:`los_probability`: blocker centers are
     dropped on the ground-track rectangle and the link is blocked if any of
-    them lands where the link height is below the blocker height.
+    them lands where the link height is below the blocker height. A mean
+    count numpy cannot draw from raises a computed_error.
     """
     tx = np.asarray(tx, float)
     rx = np.asarray(rx, float)
     d2d = float(np.linalg.norm(tx[:2] - rx[:2]))
-    if d2d == 0.0 or field.density == 0.0:
+    if d2d == 0.0 or field.density == 0.0:  # 0 * an infinite d2d is NaN
         return np.ones(trials, dtype=bool)
     mean_count = field.density * field.blocker_diameter * d2d
-    counts = rng.poisson(mean_count, size=trials)
-    total = int(counts.sum())
-    if total == 0:
-        return np.ones(trials, dtype=bool)
+    try:
+        counts = rng.poisson(mean_count, size=trials)
+    except ValueError:  # numpy's Poisson draw stops near 9.2e18
+        raise computed_error(
+            f"expected blocker count {mean_count:.3e} of a sampled link is "
+            "too large to draw", ("blocker_density_per_m2", "blocker_diameter_m",
+                                  "bs_position", "hris_position", "area_min",
+                                  "area_max")) from None
     # position along the track, measured from rx; height interpolates linearly
-    t = rng.uniform(0.0, 1.0, size=total)
+    t = rng.uniform(0.0, 1.0, size=int(counts.sum()))
     heights = rx[2] + t * (tx[2] - rx[2])
     blocking = heights < field.blocker_height
     trial_ids = np.repeat(np.arange(trials), counts)

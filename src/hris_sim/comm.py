@@ -36,7 +36,7 @@ def effective_channels(channels: ChannelSet, theta: HrisConfig, eta: float) -> n
 def rzf_precoder(h_eff: np.ndarray, p_total: float, noise_var: float) -> np.ndarray:
     """Regularized zero-forcing: the (M, K) precoder sqrt(P) (HH^H + mu I)^-1 H,
     Frobenius-normalized, with mu = K * noise_var / P."""
-    if p_total <= 0:
+    if not p_total > 0:
         raise ValueError("total power must be positive")
     m, k = h_eff.shape
     mu = k * noise_var / p_total

@@ -22,9 +22,9 @@ class HarvesterModel:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
-        if self.a * self.c < self.b:
+        if not self.a * self.c >= self.b:
             raise ValueError("harvest law must be non-decreasing (a*c >= b)")
 
     @property
@@ -42,14 +42,15 @@ class ConsumptionModel:
     controller_idle: float
 
     def __post_init__(self):
-        if min(self.p_on, self.controller_run, self.controller_idle) < 0:
+        if not all(p >= 0 for p in (self.p_on, self.controller_run,
+                                    self.controller_idle)):
             raise ValueError("powers must be >= 0")
         check_q_bits(self.q_bits)
 
 
 def harvest(model: HarvesterModel, p_in: float) -> float:
     """Harvested power for input RF power ``p_in`` (Watts)."""
-    if p_in < 0:
+    if not p_in >= 0:
         raise ValueError("input power must be >= 0")
     return (model.a * p_in + model.b) / (p_in + model.c) - model.b / model.c
 

@@ -22,7 +22,7 @@ class Radio:
     wavelength: float = field(init=False)
 
     def __post_init__(self):
-        if self.carrier_hz <= 0:
+        if not self.carrier_hz > 0:
             raise ValueError("carrier frequency must be positive")
         self.wavelength = C0 / self.carrier_hz
 

@@ -197,7 +197,7 @@ def probe(codebook: Codebook, incident: np.ndarray, eta: float,
     powers = _sensed_powers(codebook.phases, incident, eta, noise_var)
     if tau is None:
         tau = 2.0 * float(np.median(powers))
-    elif tau < noise_var:
+    elif not tau >= noise_var:
         raise ValueError("threshold below the noise floor")
     profile = PowerProfile(powers, float(tau))
     peaks = profile.peak_indices

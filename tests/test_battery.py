@@ -894,7 +894,42 @@ class Decreasing(NetEnergyDist):
         return 1.0 - ndtr(x)
 
 
+class NanCdf(NetEnergyDist):
+    def cdf(self, x):
+        return np.full(np.shape(x), np.nan)
+
+
+GAUSSIAN = NetEnergyDist.gaussian(0.0, 1.0)
+HALVES = BatteryChain(1.0, np.full((2, 2), 0.5), 0)
+# the four entry points that derive a guard state from a fraction of capacity
+GUARD_CALLS = {
+    "build_chain": lambda gamma: build_chain(GAUSSIAN, 5, 1.0, gamma),
+    "size_battery": lambda gamma: size_battery(GAUSSIAN, [1.0], 0.5, gamma, 5),
+    "simulate_trace": lambda gamma: simulate_trace(
+        np.zeros(5), 4.0, 1.0, gamma, 5, np.random.default_rng(0)),
+    "trace_loss_of_charge": lambda gamma: trace_loss_of_charge(
+        np.zeros(5), 4.0, 1.0, gamma, 5, np.random.default_rng(0))}
+
+
 @pytest.mark.parametrize("call, message", [
+    *(pytest.param(lambda name=name, gamma=gamma: GUARD_CALLS[name](gamma),
+                   r"gamma must lie in \[0, 1\)", id=f"gamma-{gamma}-{name}")
+      for name in GUARD_CALLS for gamma in (1.5, -0.5, np.nan)),
+    *(pytest.param(lambda n=n: ploc_standard_error(HALVES, n),
+                   "n_periods must be >= 1", id=f"stderr-n_periods-{n}")
+      for n in (0, -5)),
+    pytest.param(lambda: build_chain(GAUSSIAN, 5, np.nan, 0.1),
+                 "delta must be positive", id="delta-nan"),
+    pytest.param(lambda: resolve_loss_of_charge(
+                     BatteryChain(1.0, np.full((5, 5), np.nan), 0)),
+                 "transition matrix is not finite", id="psi-nan"),
+    pytest.param(lambda: size_battery(NetEnergyDist.gaussian(1.0, 10.0),
+                                      [np.nan], 0.1, 0.1),
+                 "delta must be positive", id="sizing-delta-nan"),
+    pytest.param(lambda: build_chain(NanCdf(0.0, 1.0), 3, 1.0, 0.1),
+                 "cdf is not finite on the step grid", id="cdf-nan"),
+    pytest.param(lambda: states_for_capacity(np.nan, 1.0),
+                 "capacity and delta must be positive", id="capacity-nan"),
     pytest.param(lambda: states_for_capacity(0.0, 1.0),
                  "capacity and delta must be positive", id="capacity"),
     pytest.param(lambda: NetEnergyDist.gaussian(0.0, 0.0),
@@ -907,8 +942,8 @@ class Decreasing(NetEnergyDist):
                  r"gamma must lie in \[0, 1\)", id="gamma"),
     pytest.param(lambda: build_chain(Decreasing(0.0, 1.0), 5, 1.0, 0.1),
                  "cdf is not monotone non-decreasing", id="cdf"),
-    pytest.param(lambda: battery._assemble_chain([0.0, 0.5, 1.0 + 1e-13], 2,
-                                                 1.0, 0.0),
+    pytest.param(lambda: battery._assemble_chain([0.0, 0.5, 1.0 + 1e-13], 1.0,
+                                                 0.0),
                  r"transition matrix not stochastic \(row error 0\.000e\+00, "
                  r"smallest entry -9\.992e-14\)", id="stochastic"),
     pytest.param(lambda: stationary_power_iteration(BatteryChain(
@@ -931,3 +966,18 @@ class Decreasing(NetEnergyDist):
 def test_argument_check_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.floats() | st.sampled_from([-0.0, 0.0, np.nextafter(1.0, 0.0), 1.0]))
+def test_every_guard_entry_point_takes_one_rule(gamma):
+    # a p_LoC cell's chain and trace accept and refuse the same guards
+    accepted = set()
+    for call in GUARD_CALLS.values():
+        try:
+            call(gamma)
+            accepted.add(True)
+        except ValueError as exc:
+            assert str(exc) == "gamma must lie in [0, 1)"
+            accepted.add(False)
+    assert accepted == {0.0 <= gamma < 1.0}

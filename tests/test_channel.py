@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from hris_sim.channel import (BlockageField, PathlossModel, los_probability,
                               pathloss, realize_channels, simulate_blockage)
+from hris_sim.cli import main as cli_main
 from hris_sim.geometry import (MIN_DISTANCE_M, Radio, array_response, planar,
                                ula, wave_vector)
 from hris_sim.scenario import Scenario
@@ -191,6 +193,74 @@ class TestLosProbability:
         rng = np.random.default_rng(1234)
         empirical = simulate_blockage(tx, rx, TABLE1_FIELD, rng, trials=10 ** 5).mean()
         assert abs(analytic - empirical) < 0.02
+
+
+def ref_simulate_blockage(tx, rx, field, rng, trials):
+    """simulate_blockage with the exit for a draw of no blockers that the
+    uniform draw of size 0 made redundant."""
+    tx, rx = np.asarray(tx, float), np.asarray(rx, float)
+    d2d = float(np.linalg.norm(tx[:2] - rx[:2]))
+    if d2d == 0.0 or field.density == 0.0:
+        return np.ones(trials, dtype=bool)
+    counts = rng.poisson(field.density * field.blocker_diameter * d2d, size=trials)
+    if counts.sum() == 0:
+        return np.ones(trials, dtype=bool)
+    t = rng.uniform(0.0, 1.0, size=int(counts.sum()))
+    blocking = rx[2] + t * (tx[2] - rx[2]) < field.blocker_height
+    trial_ids = np.repeat(np.arange(trials), counts)
+    return ~(np.bincount(trial_ids[blocking], minlength=trials) > 0)
+
+
+class TestSimulateBlockage:
+    def test_exits_leave_the_generator_as_drawn(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        # no blockers at an infinite distance: 0 * inf would draw poisson(nan)
+        flags = simulate_blockage((np.inf, 0.0, 6.0), (0.0, 0.0, 1.5),
+                                  BlockageField(density=0.0), rng, trials=4)
+        assert flags.dtype == bool and flags.tolist() == [True] * 4
+        assert rng.bit_generator.state == state
+        # a draw of no blockers leaves the generator where poisson left it
+        field = BlockageField(density=1e-9)
+        twin = np.random.default_rng(5)
+        assert not twin.poisson(field.density * field.blocker_diameter * 20.0,
+                                size=7).any()
+        flags = simulate_blockage((0.0, 0.0, 6.0), (20.0, 0.0, 1.5), field,
+                                  rng, trials=7)
+        assert flags.dtype == bool and flags.tolist() == [True] * 7
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(deadline=None, max_examples=60)
+    @given(points3, points3, st.sampled_from((0.0, 1e-6, 1e-3)) | st.floats(0.0, 2.0),
+           st.floats(0.1, 2.0), st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+    def test_matches_reference_with_its_zero_count_exit(self, tx, rx, density,
+                                                        diameter, trials, seed):
+        field = BlockageField(density, 1.8, diameter, "sampled")
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = simulate_blockage(tx, rx, field, rng, trials)
+        want = ref_simulate_blockage(tx, rx, field, twin, trials)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("experiment", ["sumrate", "energy"])
+    def test_undrawable_blocker_count_is_a_config_error(self, tmp_path, capsys,
+                                                        experiment):
+        # about 1.8e19 expected blockers on the BS links: numpy draws no
+        # Poisson count above about 9.2e18, and an analytic run exits 0
+        data = Scenario(n_drops=2, k_users=4, k_sweep=(4,), n_sweep=(16,),
+                        q_sweep=(1,), blockage_mode="sampled").to_dict()
+        data["bs_position"] = [1e20, 25.0, 6.0]
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(data))
+        rc = cli_main(["run", "--config", str(path), "--experiment", experiment,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: expected blocker count 1.800e+19 of a sampled "
+            "link is too large to draw: it follows from blocker_density_per_m2, "
+            "blocker_diameter_m, bs_position, hris_position, area_min and "
+            "area_max\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestRealizeChannels:
@@ -395,12 +465,20 @@ def test_both_los_states_of_the_bs_hris_link_occur_below_the_blockers():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: PathlossModel(gamma0=0.0),
                  "gamma0 and d0 must be positive", id="gamma0"),
+    pytest.param(lambda: PathlossModel(gamma0=np.nan),
+                 "gamma0 and d0 must be positive", id="gamma0-nan"),
+    pytest.param(lambda: PathlossModel(d0=np.nan),
+                 "gamma0 and d0 must be positive", id="d0-nan"),
     pytest.param(lambda: PathlossModel(chi_los=5.0, chi_nlos=4.0),
                  "need 0 <= chi_los <= chi_nlos", id="chi"),
     pytest.param(lambda: BlockageField(density=-1.0),
                  "density must be >= 0", id="density"),
+    pytest.param(lambda: BlockageField(density=np.nan),
+                 "density must be >= 0", id="density-nan"),
     pytest.param(lambda: BlockageField(blocker_height=0.0),
                  "blocker dimensions must be positive", id="blocker"),
+    pytest.param(lambda: BlockageField(blocker_diameter=np.nan),
+                 "blocker dimensions must be positive", id="blocker-nan"),
     pytest.param(lambda: BlockageField(mode="psychic"),
                  "unknown blockage mode 'psychic'", id="mode"),
 ])

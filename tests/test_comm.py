@@ -364,6 +364,8 @@ class TestEvaluate:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: rzf_precoder(np.ones((4, 2)), 0.0, 1e-9),
                  "total power must be positive", id="p_total"),
+    pytest.param(lambda: rzf_precoder(np.ones((4, 2)), np.nan, 1e-12),
+                 "total power must be positive", id="p_total-nan"),
 ])
 def test_argument_check_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):

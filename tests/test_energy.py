@@ -192,8 +192,19 @@ class TestAccountingProperties:
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: HarvesterModel(a=0.01, b=0.0, c=0.0),
                  "c must be positive", id="c"),
+    pytest.param(lambda: HarvesterModel(0.01, 1e-4, np.nan),
+                 "c must be positive", id="c-nan"),
+    pytest.param(lambda: HarvesterModel(np.nan, 1e-4, 0.01),
+                 r"harvest law must be non-decreasing \(a\*c >= b\)", id="a-nan"),
+    pytest.param(lambda: harvest(HarvesterModel(0.01, 1e-4, 0.01), np.nan),
+                 "input power must be >= 0", id="p_in-nan"),
     pytest.param(lambda: ConsumptionModel(-1e-4, 2, 4.9e-3, 1.8e-3),
                  "powers must be >= 0", id="powers"),
+    *(pytest.param(lambda powers=powers: ConsumptionModel(
+                       powers[0], 2, *powers[1:]),
+                   "powers must be >= 0", id=f"powers-nan-{i}")
+      for i, powers in enumerate([(np.nan, 0.0, 0.0), (1e-4, np.nan, 0.0),
+                                  (1e-4, 4.9e-3, np.nan)])),
     pytest.param(lambda: config_consumption(
                      HrisConfig.from_indices(np.zeros(4, int), 3),
                      ConsumptionModel(1e-4, 2, 4.9e-3, 1.8e-3)),

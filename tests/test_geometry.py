@@ -242,6 +242,8 @@ def test_array_response_conjugate_is_mirror_source():
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: Radio(0.0), "carrier frequency must be positive",
                  id="carrier"),
+    pytest.param(lambda: Radio(np.nan), "carrier frequency must be positive",
+                 id="carrier-nan"),
     pytest.param(lambda: ArrayGeometry((0.0, 6.0), 2, 2, 5e-3),
                  "center must be a 3-vector", id="center"),
 ])

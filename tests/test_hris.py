@@ -463,6 +463,9 @@ class TestComposeAndOracle:
     pytest.param(lambda: probe(build_codebook(HRIS, RADIO, 4, 2), np.ones(32),
                                0.8, 1e-11, weighting="max"),
                  "unknown weighting 'max'", id="weighting"),
+    pytest.param(lambda: probe(build_codebook(HRIS, RADIO, 4, 2), np.ones(32),
+                               0.8, 1e-11, tau=np.nan),
+                 "threshold below the noise floor", id="tau-nan"),
 ])
 def test_argument_check_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):
