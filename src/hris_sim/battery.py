@@ -112,9 +112,11 @@ def joules_to_mah(joules: float, voltage: float = 3.7) -> float:
 
 def states_for_capacity(capacity: float, delta: float) -> int:
     """Number of chain states for a capacity/step pair: round(C/delta) + 1."""
-    if not (capacity > 0 and delta > 0):
-        raise ValueError("capacity and delta must be positive")
-    return int(round(capacity / delta)) + 1
+    ratio = float(capacity) / float(delta) if capacity > 0 and delta > 0 else math.nan
+    if not (math.isfinite(delta) and math.isfinite(ratio)):
+        raise ValueError("capacity and delta must be positive, and delta and "
+                         "capacity / delta finite")
+    return int(round(ratio)) + 1
 
 
 @dataclass(frozen=True)
@@ -348,6 +350,8 @@ def size_battery(dist: NetEnergyDist, delta_grid, target_ploc: float,
         raise ValueError("empty delta grid")
     if not 0.0 < target_ploc < 1.0:
         raise ValueError("target p_LoC must lie in (0, 1)")
+    if not s_max >= 2:
+        raise ValueError("s_max must be >= 2")
 
     runs = [list(run) for _, run in groupby(
         range(2, s_max + 1), key=lambda s: guard_state(s, gamma))]

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (HALF_WAVE, MIN_DISTANCE_M, Radio, array_response,
+from .geometry import (HALF_WAVE, Radio, array_response, link_distance,
                        planar, ula)
 from .scenario import Scenario, computed_error
 
@@ -71,17 +71,22 @@ class ChannelSet:
 
 
 def pathloss(p, q, model: PathlossModel, exponent):
-    """Linear gain gamma0 * (d0 / ||p-q||)^exponent; errors on zero distance.
+    """Linear gain gamma0 * (d0 / ||p-q||)^exponent; raises as link_distance.
 
     Points (3,) give a float; a stack of points (k, 3) with one exponent per
     link gives (k,).
     """
-    diff = np.asarray(p, float) - np.asarray(q, float)
-    dist = np.sqrt(np.vecdot(diff, diff))  # the bits of np.linalg.norm per row
-    if np.any(dist < MIN_DISTANCE_M):
-        raise ValueError("zero distance between link endpoints")
-    gain = model.gamma0 * np.float_power(model.d0 / dist, exponent)
+    gain = model.gamma0 * np.float_power(model.d0 / link_distance(p, q), exponent)
     return float(gain) if gain.ndim == 0 else gain
+
+
+def _blockage_ends(tx, rx):
+    """``tx`` and ``rx`` as float arrays; raises on a NaN coordinate. A
+    coincident ground track or an infinite link is valid under blockage."""
+    tx, rx = np.asarray(tx, float), np.asarray(rx, float)
+    if np.isnan(tx).any() or np.isnan(rx).any():
+        raise ValueError("a blockage link endpoint has a NaN coordinate")
+    return tx, rx
 
 
 def los_probability(tx, rx, field: BlockageField):
@@ -93,8 +98,7 @@ def los_probability(tx, rx, field: BlockageField):
     void probability of the Poisson field on that rectangle. Points (3,) give
     a float; a stack of points (k, 3) gives (k,).
     """
-    tx = np.asarray(tx, float)
-    rx = np.asarray(rx, float)
+    tx, rx = _blockage_ends(tx, rx)
     ground = tx[..., :2] - rx[..., :2]
     d2d = np.sqrt(np.vecdot(ground, ground))
     # fraction of the ground track where the link is below blocker height
@@ -117,8 +121,7 @@ def simulate_blockage(tx, rx, field: BlockageField, rng, trials: int = 1) -> np.
     them lands where the link height is below the blocker height. A mean
     count numpy cannot draw from raises a computed_error.
     """
-    tx = np.asarray(tx, float)
-    rx = np.asarray(rx, float)
+    tx, rx = _blockage_ends(tx, rx)
     d2d = float(np.linalg.norm(tx[:2] - rx[:2]))
     if d2d == 0.0 or field.density == 0.0:  # 0 * an infinite d2d is NaN
         return np.ones(trials, dtype=bool)
@@ -202,10 +205,11 @@ def realize_channels(scenario: Scenario, rngs):
         if not always:
             draws_bs_hris[i] = _draw_los(b, r[None], field, g)[0]
     for name, p in (("bs_position", b), ("hris_position", r)):
-        gap = ue - p  # the distance pathloss would reject, by the same bits
-        if np.any(np.sqrt(np.vecdot(gap, gap)) < MIN_DISTANCE_M):
-            raise computed_error(f"a drawn UE lies on the array at {name}",
-                                 ("area_min", "area_max", "ue_height_m", name))
+        try:  # the distance pathloss would reject
+            link_distance(ue, p)
+        except ValueError:
+            raise computed_error(f"a drawn UE lies on the array at {name}", (
+                "area_min", "area_max", "ue_height_m", name)) from None
 
     los_bs_ue = _los_flags(draws[0], b, ue, field)
     los_hris_ue = _los_flags(draws[1], r, ue, field)

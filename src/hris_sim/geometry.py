@@ -79,17 +79,24 @@ def ula(center, n_elements: int, spacing: float) -> ArrayGeometry:
 planar = ArrayGeometry  # planar(center, nx, nz, spacing) builds the grid
 
 
+def link_distance(p, q) -> np.ndarray:
+    """||p - q|| per row; raises unless each is at least MIN_DISTANCE_M, so a
+    coincident or NaN endpoint fails. Points (3,) give a 0-d array."""
+    diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
+    dist = np.sqrt(np.vecdot(diff, diff))  # the bits of np.linalg.norm per row
+    if not np.all(dist >= MIN_DISTANCE_M):
+        raise ValueError("degenerate link: zero distance, endpoints coincide or are NaN")
+    return dist
+
+
 def wave_vector(p, q, wavelength: float) -> np.ndarray:
     """Wave vector (rad/m) at ``q`` for a plane wave arriving from ``p``.
 
     Points from ``q`` toward the source: (2*pi/wavelength) * (p-q)/||q-p||.
     A point ``p`` of shape (3,) gives (3,); a stack (k, 3) gives (k, 3).
     """
-    diff = np.asarray(p, dtype=float) - np.asarray(q, dtype=float)
-    dist = np.sqrt(np.vecdot(diff, diff))
-    if np.any(dist < MIN_DISTANCE_M):
-        raise ValueError("degenerate link: endpoints coincide")
-    return (2.0 * np.pi / wavelength) * diff / dist[..., None]
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    return (2.0 * np.pi / wavelength) * (p - q) / link_distance(p, q)[..., None]
 
 
 def array_response(arr: ArrayGeometry, p, radio: Radio) -> np.ndarray:

@@ -17,7 +17,7 @@ import typing
 from importlib import resources
 from pathlib import Path
 
-from .battery import mah_to_joules
+from .battery import mah_to_joules, states_for_capacity
 from .geometry import C0, HALF_WAVE, MIN_DISTANCE_M, check_axis
 
 log = logging.getLogger(__name__)
@@ -197,13 +197,16 @@ class Scenario:
             raise computed_error(
                 f"a {longest}-element half-wave array axis fails ({exc})",
                 ("fc_ghz", "nx", "nz", "n_sweep", "m_bs_antennas")) from exc
-        # S = round(C/delta) + 1 in Joules, bounded before C/delta is rounded
+        # S in Joules, as the battery experiment derives it
         delta_j = mah_to_joules(self.delta_mah, self.battery_voltage)
         for name, c in (("capacity_mah", self.capacity_mah), *(
                 ("capacity_sweep_mah", c) for c in self.capacity_sweep_mah)):
-            ratio = mah_to_joules(c, self.battery_voltage) / delta_j \
-                if delta_j > 0 else math.inf
-            require(0.5 < ratio < MAX_BATTERY_STATES - 0.5,
+            try:
+                s = states_for_capacity(mah_to_joules(c, self.battery_voltage),
+                                        delta_j)
+            except ValueError:  # a Joule capacity or step that is 0 or inf
+                s = 0
+            require(2 <= s <= MAX_BATTERY_STATES,
                     f"{name} {c} gives no battery state count S in [2, "
                     f"{MAX_BATTERY_STATES}] at delta_mah and battery_voltage")
 

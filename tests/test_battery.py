@@ -932,6 +932,12 @@ GUARD_CALLS = {
                  "capacity and delta must be positive", id="capacity-nan"),
     pytest.param(lambda: states_for_capacity(0.0, 1.0),
                  "capacity and delta must be positive", id="capacity"),
+    *(pytest.param(lambda c=c, d=d: states_for_capacity(c, d),
+                   "capacity and delta must be positive", id=f"capacity-{c}-{d}")
+      for c, d in ((np.inf, 1.0), (1.0, np.inf), (1e308, 1e-308))),
+    *(pytest.param(lambda s_max=s_max: size_battery(GAUSSIAN, [np.nan], 0.1, 0.1,
+                                                    s_max),
+                   "s_max must be >= 2", id=f"s_max-{s_max}") for s_max in (1, 0)),
     pytest.param(lambda: NetEnergyDist.gaussian(0.0, 0.0),
                  "std must be positive", id="std"),
     pytest.param(lambda: build_chain(NetEnergyDist.gaussian(0.0, 1.0), 1, 1.0, 0.1),

@@ -481,6 +481,19 @@ def test_both_los_states_of_the_bs_hris_link_occur_below_the_blockers():
                  "blocker dimensions must be positive", id="blocker-nan"),
     pytest.param(lambda: BlockageField(mode="psychic"),
                  "unknown blockage mode 'psychic'", id="mode"),
+    pytest.param(lambda: pathloss((np.nan, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                  PathlossModel(), 2.0),
+                 "degenerate link: zero distance, endpoints coincide or are NaN",
+                 id="pathloss-nan"),
+    pytest.param(lambda: los_probability((np.nan, 0.0, 6.0), (1.0, 1.0, 1.5),
+                                         BlockageField()),
+                 "a blockage link endpoint has a NaN coordinate",
+                 id="los_probability-nan"),
+    pytest.param(lambda: simulate_blockage((np.nan, 0.0, 6.0), (1.0, 1.0, 1.5),
+                                           BlockageField(mode="sampled"),
+                                           np.random.default_rng(0)),
+                 "a blockage link endpoint has a NaN coordinate",
+                 id="simulate_blockage-nan"),
 ])
 def test_argument_check_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):

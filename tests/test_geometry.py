@@ -246,6 +246,13 @@ def test_array_response_conjugate_is_mirror_source():
                  id="carrier-nan"),
     pytest.param(lambda: ArrayGeometry((0.0, 6.0), 2, 2, 5e-3),
                  "center must be a 3-vector", id="center"),
+    pytest.param(lambda: wave_vector((np.nan, 0.0, 0.0), (1.0, 1.0, 1.0), 0.01),
+                 "degenerate link: zero distance, endpoints coincide or are NaN",
+                 id="wave_vector-nan"),
+    pytest.param(lambda: array_response(planar(TABLE1_HRIS, 4, 2, 5e-3),
+                                        (1.0, np.nan, 1.5), Radio(28e9)),
+                 "degenerate link: zero distance, endpoints coincide or are NaN",
+                 id="array_response-nan"),
 ])
 def test_argument_check_names_its_fault(call, message):
     with pytest.raises(ValueError, match=message):

@@ -480,6 +480,15 @@ def test_cli_battery_single_drop_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_battery_ue_drawn_on_the_surface_is_a_config_error(tmp_path, capsys):
+    x, y, z = SMALL.hris_position
+    on_surface = replace(SMALL, area_min=(x, y), area_max=(x, y), ue_height_m=z)
+    assert _cli_run(tmp_path, "battery", scenario=on_surface) == 2
+    err = capsys.readouterr().err
+    assert "a drawn UE lies on the array at hris_position" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_energy_single_drop_fails_before_any_drop(tmp_path, capsys,
                                                       monkeypatch):
     import hris_sim.runner as runner
